@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race audit reconfig tail cache fuzz scale bench-smoke bench-report bench-baseline experiments profile clean
+.PHONY: all build vet test race audit reconfig tail cache fuzz scale bench-smoke bench-report bench-baseline perfbench experiments profile clean
 
 all: vet build test
 
@@ -82,6 +82,13 @@ bench-report:
 # Regenerate the committed regression baseline (run on a quiet machine).
 bench-baseline:
 	$(GO) run ./cmd/falconsim -bench-report BENCH_baseline.json
+
+# The benchmark declared in BENCHMARK.json: each workload once, end to
+# end (see perfbench/README.md for the flags and the JSON it prints).
+perfbench:
+	for w in udp16-falcon udp64k-con tcp4k-falcon mesh8-auto; do \
+		bash perfbench/run.sh --workload $$w --seed 1 --seconds 15 --trace 0 || exit 1; \
+	done
 
 # Regenerate every paper table with full measurement windows.
 experiments:

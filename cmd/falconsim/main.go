@@ -375,15 +375,14 @@ func reportRunPanic(e experiments.Experiment, opt experiments.Options, idx, tota
 // each carried, and what fraction of worker slots sat idle (busy-shard
 // deficit, not OS scheduling).
 type windowBench struct {
-	Windows          uint64  `json:"windows"`
-	WindowsPerSec    float64 `json:"windows_per_sec"`
-	AvgWidthSimNs    float64 `json:"avg_width_sim_ns"`
-	CrossShardMsgs   uint64  `json:"cross_shard_msgs"`
-	MsgsPerWindow    float64 `json:"msgs_per_window"`
-	WorkerIdleFrac   float64 `json:"worker_idle_fraction"`
-	AvgBusyShards    float64 `json:"avg_busy_shards"`
-	GlobalEvents     uint64  `json:"global_events"`
-	AdaptiveHorizons bool    `json:"adaptive_horizons"`
+	Windows        uint64  `json:"windows"`
+	WindowsPerSec  float64 `json:"windows_per_sec"`
+	AvgWidthSimNs  float64 `json:"avg_width_sim_ns"`
+	CrossShardMsgs uint64  `json:"cross_shard_msgs"`
+	MsgsPerWindow  float64 `json:"msgs_per_window"`
+	WorkerIdleFrac float64 `json:"worker_idle_fraction"`
+	AvgBusyShards  float64 `json:"avg_busy_shards"`
+	GlobalEvents   uint64  `json:"global_events"`
 }
 
 // shardedBench records the intra-simulation PDES comparison: one
@@ -480,12 +479,11 @@ const shardBenchHosts = 8
 
 // fillWindowBench derives the report's window metrics from the raw
 // cluster counters and the run's wall-clock.
-func fillWindowBench(ws sim.ClusterStats, seconds float64, adaptive bool) windowBench {
+func fillWindowBench(ws sim.ClusterStats, seconds float64) windowBench {
 	wb := windowBench{
-		Windows:          ws.Windows,
-		CrossShardMsgs:   ws.Msgs,
-		GlobalEvents:     ws.Globals,
-		AdaptiveHorizons: adaptive,
+		Windows:        ws.Windows,
+		CrossShardMsgs: ws.Msgs,
+		GlobalEvents:   ws.Globals,
 	}
 	if ws.Windows > 0 {
 		wb.AvgWidthSimNs = float64(ws.WidthSum) / float64(ws.Windows)
@@ -549,7 +547,7 @@ func benchReport(path, baselinePath string, shards int, opt experiments.Options)
 			Shards: shards, Experiment: shardBenchExp, NumCPU: runtime.NumCPU(),
 			SerialSeconds: meshSerial, ShardedSeconds: meshSharded,
 			Speedup: meshSerial / meshSharded,
-			Windows: fillWindowBench(ws, meshSharded, true),
+			Windows: fillWindowBench(ws, meshSharded),
 		},
 		Auto: autoBench{
 			Shards: autoShards, Workers: autoWorkers,
@@ -621,7 +619,7 @@ func runScale(opt experiments.Options) int {
 		if secs > 0 {
 			speedup = serial / secs
 		}
-		wb := fillWindowBench(ws, secs, true)
+		wb := fillWindowBench(ws, secs)
 		if ws.Windows == 0 {
 			fmt.Printf("%-8s %10.3f %7.2fx %9s %14s %12s %9s\n",
 				label, secs, speedup, "-", "-", "-", "-")

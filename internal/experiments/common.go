@@ -32,8 +32,7 @@ func newSingleFlowBed(mode workload.Mode, opt Options, link float64, colocate bo
 		Kernel: opt.Kernel, LinkRate: link, Cores: 12, Containers: 1,
 		RSSCores: []int{0}, RPSCores: []int{1},
 		GRO: true, InnerGRO: true, Seed: opt.seed(),
-		Shards: opt.Shards, Colocate: colocate, FixedHorizon: opt.FixedHorizon,
-		RxCache: opt.RxCache,
+		Shards: opt.Shards, Colocate: colocate, RxCache: opt.RxCache,
 	})
 	if opt.MaxEvents > 0 {
 		tb.E.SetEventBudget(opt.MaxEvents)
@@ -48,16 +47,17 @@ func newSingleFlowBed(mode workload.Mode, opt Options, link float64, colocate bo
 }
 
 // finishAudit drains the simulation until every ledgered SKB is freed
-// (bounded: traffic has stopped by `until`, so a handful of extra
-// 2 ms slices flushes stragglers), then runs the auditor's teardown
-// checks — the end-of-run leak check included. No-op without audit.
+// (bounded: traffic has stopped by `until`, but a saturated link's
+// transmit queue can still hold tens of milliseconds of frames), then
+// runs the auditor's teardown checks — the end-of-run leak check
+// included. No-op without audit.
 func finishAudit(tb *workload.Testbed, until sim.Time) {
 	a := tb.Audit
 	if a == nil {
 		return
 	}
 	deadline := until
-	for i := 0; i < 10 && a.LiveCount() > 0; i++ {
+	for i := 0; i < 50 && a.LiveCount() > 0; i++ {
 		deadline += 2 * sim.Millisecond
 		tb.Run(deadline)
 	}

@@ -62,48 +62,32 @@ func installCrashFaults(tb *workload.Testbed, cs *reconfig.CrashSchedule, base, 
 		}
 		panic(fmt.Sprintf("abl-crash: unknown host %q in crash schedule", name))
 	}
-	never := until + sim.Second // run end + straggler flush headroom
 	plan := faults.Plan{Name: "crash-schedule"}
-	for _, c := range cs.Crashes {
-		at := base + sim.Time(c.AtMs)*sim.Millisecond
-		end := never
-		if c.RebootMs > 0 {
-			end = base + sim.Time(c.RebootMs)*sim.Millisecond
+	add := func(atMs, endMs int, f faults.Fault) {
+		at, end := base+sim.Time(atMs)*sim.Millisecond, until+sim.Second // run end + straggler flush headroom
+		if endMs > 0 {
+			end = base + sim.Time(endMs)*sim.Millisecond
 		}
-		plan.Items = append(plan.Items, faults.Item{
-			At: at, For: end - at,
-			Fault: &faults.HostCrash{Host: hostByName(c.Host)},
-		})
+		plan.Items = append(plan.Items, faults.Item{At: at, For: end - at, Fault: f})
+	}
+	for _, c := range cs.Crashes {
+		add(c.AtMs, c.RebootMs, &faults.HostCrash{Host: hostByName(c.Host)})
 	}
 	for _, p := range cs.Partitions {
-		at := base + sim.Time(p.AtMs)*sim.Millisecond
-		end := never
-		if p.HealMs > 0 {
-			end = base + sim.Time(p.HealMs)*sim.Millisecond
-		}
-		plan.Items = append(plan.Items, faults.Item{
-			At: at, For: end - at,
-			Fault: &faults.KVPartition{KV: tb.Net.KV, Host: hostByName(p.Host)},
-		})
+		add(p.AtMs, p.HealMs, &faults.KVPartition{KV: tb.Net.KV, Host: hostByName(p.Host)})
 	}
 	faults.NewInjector(tb.E).Install(plan)
 }
 
-// runCrash drives one bed for warmup + window + tail. cs == nil is the
-// undisturbed baseline; the sender's RNG draws are independent of the
-// datapath, so baseline and crash runs see an identical send schedule
-// and their per-ms buckets compare packet-for-packet.
+// runCrash runs the reconfig bed under the crash schedule cs (nil: the
+// undisturbed baseline), with the failure detector failing crashed
+// hosts over onto the spare.
 func runCrash(mode workload.Mode, opt Options, cs *reconfig.CrashSchedule) reconfigRun {
-	tb := newReconfigBed(mode, opt)
-	until := opt.warmup() + opt.window() + 5*sim.Millisecond
-	f := tb.NewUDPFlow(tb.ClientCtrs[0], tb.ServerCtrs[0].IP, 7000, 5001, 64, 2, singleFlowAppCore, 1)
-	// The spare's twin socket: same overlay IP and port as the primary,
-	// live the moment the fail-over lands the container there.
-	spareSock := tb.Spare.OpenUDP(tb.ServerCtrs[0].IP, 5001, singleFlowAppCore)
-
-	var mgr *reconfig.Manager
-	if cs != nil {
-		mgr = reconfig.New(tb.Net, &reconfig.Schedule{})
+	if cs == nil {
+		return runSpareBed(mode, opt, nil)
+	}
+	return runSpareBed(mode, opt, func(tb *workload.Testbed, until sim.Time) *reconfig.Manager {
+		mgr := reconfig.New(tb.Net, &reconfig.Schedule{})
 		twins := map[string]string{}
 		for _, c := range cs.Crashes {
 			if c.Host == "spare" {
@@ -116,41 +100,8 @@ func runCrash(mode workload.Mode, opt Options, cs *reconfig.CrashSchedule) recon
 			panic(fmt.Sprintf("abl-crash: %v", err))
 		}
 		installCrashFaults(tb, cs, opt.warmup(), until)
-	}
-	f.SendAtRate(reconfigRate, until)
-
-	msCount := int(opt.window()/sim.Millisecond) + reconfigTailMs
-	samples := make([]uint64, msCount+1)
-	for i := 0; i <= msCount; i++ {
-		i := i
-		tb.E.At(opt.warmup()+sim.Time(i)*sim.Millisecond, func() {
-			samples[i] = f.Sock.Delivered.Value() + spareSock.Delivered.Value()
-		})
-	}
-
-	tb.Run(until)
-	// Flush transmit stragglers so the conservation equation closes.
-	for i := 0; i < 10 && tb.Client.TxPending() > 0; i++ {
-		until += 2 * sim.Millisecond
-		tb.Run(until)
-	}
-	finishAudit(tb, until)
-
-	r := reconfigRun{
-		samples:   samples,
-		sent:      f.Sent(),
-		delivered: f.Sock.Delivered.Value() + spareSock.Delivered.Value(),
-		sockDrops: f.Sock.SocketDrops.Value() + spareSock.SocketDrops.Value(),
-		txPending: tb.Client.TxPending() + tb.Server.TxPending() + tb.Spare.TxPending(),
-		quiesceUs: -1,
-	}
-	if mgr != nil {
-		r.recs = mgr.Records()
-		r.final = mgr.Snapshot()
-	} else {
-		r.final = reconfig.New(tb.Net, &reconfig.Schedule{}).Snapshot()
-	}
-	return r
+		return mgr
+	})
 }
 
 // crashBlackout scans every per-ms bucket pair for the longest stretch
@@ -198,12 +149,6 @@ func ablCrash(opt Options) []*stats.Table {
 		Columns: []string{"mode", "base(Kpps)", "crash(Kpps)", "ratio", "unaccounted",
 			"detect(ms)", "blackout(ms)", "recover(ms)", "verdict"},
 	}
-	fRecover := func(ms int) string {
-		if ms < 0 {
-			return ">window"
-		}
-		return fmt.Sprintf("%d", ms)
-	}
 	for _, mode := range []workload.Mode{workload.ModeCon, workload.ModeFalcon} {
 		cs := opt.Crash
 		if cs == nil {
@@ -217,9 +162,9 @@ func ablCrash(opt Options) []*stats.Table {
 			c := conv[i]
 			detail.AddRow(mode.String(), fmt.Sprintf("%d", rec.Gen), c.Kind,
 				fmt.Sprintf("%d", c.AtMs), fmt.Sprintf("%d", c.BlackoutMs),
-				fmt.Sprintf("%d", c.LossPkts),
-				fmt.Sprintf("%d/%d/%d", c.Drops.Crash, c.Drops.Resolve, c.Drops.NIC),
-				fRecover(c.RecoverMs))
+				fmt.Sprintf("%d", c.Drops.Total()),
+				fmt.Sprintf("%d/%d/%d", c.Drops[overlay.DropCrash], c.Drops[overlay.DropResolve], c.Drops[overlay.DropNIC]),
+				fRecoverMs(c.RecoverMs))
 		}
 
 		// Steady state starts after the last scheduled event has settled.
@@ -289,7 +234,7 @@ func ablCrash(opt Options) []*stats.Table {
 			fKpps(baseSteady*1e3), fKpps(runSteady*1e3), fRatio(ratio),
 			fmt.Sprintf("%d", run.unaccounted()),
 			fmt.Sprintf("%.1f", detectMs),
-			fmt.Sprintf("%d", blackout), fRecover(recover), v)
+			fmt.Sprintf("%d", blackout), fRecoverMs(recover), v)
 	}
 	return []*stats.Table{detail, verdict}
 }

@@ -52,11 +52,6 @@ type Options struct {
 	// cache is the abl-cache ablation's subject, and the goldens pin
 	// the uncached behavior.
 	RxCache bool
-	// FixedHorizon disables adaptive safe-horizon windows on sharded
-	// runs (every window is clipped to the static global lookahead) —
-	// the A/B switch the shard-invariance tests sweep. Results are
-	// byte-identical either way; only synchronization counts change.
-	FixedHorizon bool
 	// WindowStats, when non-nil, receives the PDES cluster's
 	// synchronization counters after the run (zeroed for serial runs).
 	// Supported by the fabric-based experiments (mesh8).
@@ -172,3 +167,12 @@ func fUs(ns int64) string { return fmt.Sprintf("%.1f", float64(ns)/1e3) }
 func fPct(x float64) string { return fmt.Sprintf("%.1f%%", x*100) }
 
 func fRatio(x float64) string { return fmt.Sprintf("%.2fx", x) }
+
+// fRecoverMs renders a whole-ms recovery time; -1 means not inside the
+// window.
+func fRecoverMs(ms int) string {
+	if ms < 0 {
+		return ">window"
+	}
+	return fmt.Sprintf("%d", ms)
+}

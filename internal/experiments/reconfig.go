@@ -6,6 +6,7 @@ import (
 	"falcon/internal/audit"
 	falconcore "falcon/internal/core"
 	"falcon/internal/devices"
+	"falcon/internal/overlay"
 	"falcon/internal/reconfig"
 	"falcon/internal/sim"
 	"falcon/internal/stats"
@@ -109,7 +110,7 @@ func newReconfigBed(mode workload.Mode, opt Options) *workload.Testbed {
 type reconfigRun struct {
 	samples   []uint64 // cumulative delivery at warmup + i*1ms
 	recs      []*reconfig.GenRecord
-	final     reconfig.DropSnapshot
+	final     overlay.DropCensus
 	sent      uint64
 	delivered uint64
 	sockDrops uint64
@@ -127,24 +128,38 @@ func (r reconfigRun) unaccounted() int64 {
 		int64(r.final.Total()) - int64(r.txPending)
 }
 
-// runReconfig drives one bed for warmup + window + tail. sched == nil is
-// the no-reconfig baseline; the sender's RNG draws are independent of
-// the datapath, so baseline and reconfig runs see an identical send
-// schedule and their steady buckets compare packet-for-packet.
+// runReconfig runs the reconfig bed under sched (nil: the no-reconfig
+// baseline).
 func runReconfig(mode workload.Mode, opt Options, sched *reconfig.Schedule) reconfigRun {
+	if sched == nil {
+		return runSpareBed(mode, opt, nil)
+	}
+	return runSpareBed(mode, opt, func(tb *workload.Testbed, _ sim.Time) *reconfig.Manager {
+		mgr := reconfig.New(tb.Net, sched)
+		if err := mgr.Arm(opt.warmup()); err != nil {
+			panic(fmt.Sprintf("abl-reconfig: %v", err))
+		}
+		return mgr
+	})
+}
+
+// runSpareBed drives one reconfig bed for warmup + window + tail. arm,
+// when non-nil, installs the run's disturbance before traffic starts
+// and returns the manager whose records the run reports; nil is the
+// undisturbed baseline. The sender's RNG draws are independent of the
+// datapath, so baseline and disturbed runs see an identical send
+// schedule and their per-ms buckets compare packet-for-packet.
+func runSpareBed(mode workload.Mode, opt Options, arm func(tb *workload.Testbed, until sim.Time) *reconfig.Manager) reconfigRun {
 	tb := newReconfigBed(mode, opt)
 	until := opt.warmup() + opt.window() + 5*sim.Millisecond
 	f := tb.NewUDPFlow(tb.ClientCtrs[0], tb.ServerCtrs[0].IP, 7000, 5001, 64, 2, singleFlowAppCore, 1)
 	// The spare's twin socket: same overlay IP and port as the primary,
-	// live the moment the drain lands the container there.
+	// live the moment a drain or fail-over lands the container there.
 	spareSock := tb.Spare.OpenUDP(tb.ServerCtrs[0].IP, 5001, singleFlowAppCore)
 
-	var mgr *reconfig.Manager
-	if sched != nil {
-		mgr = reconfig.New(tb.Net, sched)
-		if err := mgr.Arm(opt.warmup()); err != nil {
-			panic(fmt.Sprintf("abl-reconfig: %v", err))
-		}
+	mgr := reconfig.New(tb.Net, &reconfig.Schedule{})
+	if arm != nil {
+		mgr = arm(tb, until)
 	}
 	f.SendAtRate(reconfigRate, until)
 
@@ -167,22 +182,18 @@ func runReconfig(mode workload.Mode, opt Options, sched *reconfig.Schedule) reco
 
 	r := reconfigRun{
 		samples:   samples,
+		recs:      mgr.Records(),
+		final:     mgr.Snapshot(),
 		sent:      f.Sent(),
 		delivered: f.Sock.Delivered.Value() + spareSock.Delivered.Value(),
 		sockDrops: f.Sock.SocketDrops.Value() + spareSock.SocketDrops.Value(),
 		txPending: tb.Client.TxPending() + tb.Server.TxPending() + tb.Spare.TxPending(),
 		quiesceUs: -1,
 	}
-	if mgr != nil {
-		r.recs = mgr.Records()
-		r.final = mgr.Snapshot()
-		for _, rec := range r.recs {
-			if rec.Action.Kind == reconfig.KindDrain && rec.QuiescedAt >= 0 {
-				r.quiesceUs = float64(rec.QuiescedAt-rec.Applied) / 1e3
-			}
+	for _, rec := range r.recs {
+		if rec.Action.Kind == reconfig.KindDrain && rec.QuiescedAt >= 0 {
+			r.quiesceUs = float64(rec.QuiescedAt-rec.Applied) / 1e3
 		}
-	} else {
-		r.final = reconfig.New(tb.Net, &reconfig.Schedule{}).Snapshot()
 	}
 	return r
 }
@@ -211,12 +222,6 @@ func ablReconfig(opt Options) []*stats.Table {
 		Title: "Hot reconfiguration verdicts: steady state, conservation, drain quiesce",
 		Columns: []string{"mode", "base(Kpps)", "reconfig(Kpps)", "ratio",
 			"unaccounted", "quiesce(us)", "max-blackout(ms)", "verdict"},
-	}
-	fRecover := func(ms int) string {
-		if ms < 0 {
-			return ">window"
-		}
-		return fmt.Sprintf("%d", ms)
 	}
 	for _, mode := range []workload.Mode{workload.ModeCon, workload.ModeFalcon} {
 		falcon := mode == workload.ModeFalcon
@@ -260,9 +265,9 @@ func ablReconfig(opt Options) []*stats.Table {
 			c := conv[i]
 			detail.AddRow(mode.String(), fmt.Sprintf("%d", rec.Gen), c.Kind,
 				fmt.Sprintf("%d", c.AtMs), fmt.Sprintf("%d", c.BlackoutMs),
-				fmt.Sprintf("%d", c.LossPkts),
-				fmt.Sprintf("%d/%d/%d", c.Drops.Resolve, c.Drops.NIC, c.Drops.Backlog),
-				fRecover(c.RecoverMs))
+				fmt.Sprintf("%d", c.Drops.Total()),
+				fmt.Sprintf("%d/%d/%d", c.Drops[overlay.DropResolve], c.Drops[overlay.DropNIC], c.Drops[overlay.DropBacklog]),
+				fRecoverMs(c.RecoverMs))
 		}
 
 		v := "OK"

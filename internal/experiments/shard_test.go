@@ -42,41 +42,6 @@ func TestShardInvariance(t *testing.T) {
 	}
 }
 
-// renderHorizon is renderShards with the adaptive-horizon switch
-// exposed: fixed=true clips every window to the static global
-// lookahead, the pre-adaptive behaviour.
-func renderHorizon(t testing.TB, id string, shards int, fixed bool) string {
-	t.Helper()
-	e, ok := ByID(id)
-	if !ok {
-		t.Fatalf("experiment %q not registered", id)
-	}
-	out := ""
-	for _, tbl := range e.Run(Options{Quick: true, Seed: 1, Shards: shards, FixedHorizon: fixed}) {
-		out += tbl.String() + "\n"
-	}
-	return out
-}
-
-// TestAdaptiveHorizonInvariance pins the adaptive safe-horizon windows
-// to the serial semantics: mesh8 — the topology where every shard both
-// sends and receives and per-link bounds actually feed the adaptive
-// derivation — renders byte-identical tables on the serial engine, on a
-// sharded cluster with static windows, and on a sharded cluster with
-// adaptive windows. Window placement is a pure scheduling concern; it
-// must never leak into a simulated result.
-func TestAdaptiveHorizonInvariance(t *testing.T) {
-	ref := renderShards(t, "mesh8", 0, false)
-	for _, shards := range []int{2, 4} {
-		for _, fixed := range []bool{false, true} {
-			if got := renderHorizon(t, "mesh8", shards, fixed); got != ref {
-				t.Errorf("shards=%d fixed=%t output diverges from serial\n--- serial ---\n%s\n--- got ---\n%s",
-					shards, fixed, ref, got)
-			}
-		}
-	}
-}
-
 // TestShardInvarianceWithAudit repeats the invariance check with the
 // full audit harness attached: per-shard SKB ledgers, cross-shard
 // record handoffs at barriers, and coordinator-driven invariant sweeps

@@ -117,23 +117,29 @@ type Host struct {
 	// calls), the injected side of the transmit conservation balance.
 	TxMsgs stats.Counter
 	// TxResolveDrops counts transmissions abandoned because the
-	// destination could not be resolved (KV miss / exhausted retries /
-	// no route) — previously a silent error discard in the tx path.
+	// destination could not be resolved (KV miss, exhausted retries,
+	// negative-cache hit, unknown peer host).
 	TxResolveDrops stats.Counter
 	// TxBuildDrops counts transmissions abandoned after resolution
-	// because no frame could be built (payload over the frame limit) —
-	// previously a silent discard in the tx path.
+	// because no frame could be built (payload over the frame limit).
 	TxBuildDrops stats.Counter
 	// KVRetries counts backoff retries of transiently failed KV
 	// lookups; NegCacheHits counts sends suppressed by the negative
 	// cache.
 	KVRetries    stats.Counter
 	NegCacheHits stats.Counter
-	// CrashDrops counts packets destroyed by a host crash: frames purged
+	// TxCrashDrops counts sends a crashed host destroys before they
+	// become an SKB: sends issued while it is down, and messages caught
+	// inside the transmit path or its partition retry loop.
+	TxCrashDrops stats.Counter
+	// TxEmitDrops counts built frames that never reached a link: no
+	// link toward the next hop, unfragmentable, or unhashable.
+	TxEmitDrops stats.Counter
+	// CrashDrops counts SKBs destroyed by a host crash: frames purged
 	// from rings/backlogs/GRO holds at the instant of death plus
-	// everything blackholed at the NIC, stack, L4 and TX boundaries
-	// while the host is down. It is the crash bucket of the drop census,
-	// so conservation balances close across a crash window.
+	// everything blackholed at the NIC, stack and L4 boundaries while
+	// the host is down. With TxCrashDrops it closes the conservation
+	// balances across a crash window.
 	CrashDrops stats.Counter
 	// StaleServes counts transmissions a control-plane-partitioned host
 	// served from a stale (version-expired but within the staleness
@@ -165,10 +171,10 @@ type Host struct {
 
 	txSeq uint16 // IPv4 identification counter
 
-	// crashed marks a dead host: NIC and stack are down, arrivals and
-	// sends blackhole into CrashDrops, and the failure detector will
-	// detach the LP once the datapath quiesces. Set by Crash, cleared by
-	// Reboot — both coordinator-context only.
+	// crashed marks a dead host: NIC and stack are down, arrivals
+	// blackhole into CrashDrops and sends into TxCrashDrops, and the
+	// failure detector will detach the LP once the datapath quiesces.
+	// Set by Crash, cleared by Reboot — both coordinator-context only.
 	crashed bool
 
 	// Per-host continuation free lists. These ops used to live in
@@ -562,15 +568,14 @@ func (h *Host) deliverL4(c *cpu.Core, s *skb.SKB, done func()) {
 // ResetMeasurement clears the host's accounting for a fresh window.
 func (h *Host) ResetMeasurement() {
 	h.M.ResetMeasurement()
-	h.NIC.Drops.Reset()
+	for _, row := range dropTable {
+		if row.host != nil { // link counters belong to the link
+			row.host(h).Reset()
+		}
+	}
 	h.NIC.HardIRQs.Reset()
-	h.St.Drops.Reset()
-	h.L4Drops.Reset()
-	h.TxResolveDrops.Reset()
-	h.TxBuildDrops.Reset()
 	h.KVRetries.Reset()
 	h.NegCacheHits.Reset()
-	h.CrashDrops.Reset()
 	h.StaleServes.Reset()
 	h.RxCacheHits.Reset()
 	h.RxCacheMisses.Reset()

@@ -34,6 +34,13 @@ type SendParams struct {
 	FromSoftirq bool
 }
 
+// report calls Done, when set, with the transmit outcome.
+func (p *SendParams) report(ok bool) {
+	if p.Done != nil {
+		p.Done(ok)
+	}
+}
+
 // SendUDP transmits one UDP message through the full transmit path in
 // task context: container stack → veth → bridge → vxlan_xmit
 // encapsulation → pNIC, or the plain host stack for host networking.
@@ -145,10 +152,8 @@ func (h *Host) sendL4(p SendParams, ipProto uint8, tcp *proto.TCPHdr) {
 	if h.crashed {
 		// The host is dead: the (schedule-driven) send is counted and
 		// destroyed without charging work — dead silicon runs nothing.
-		h.CrashDrops.Inc()
-		if p.Done != nil {
-			p.Done(false)
-		}
+		h.TxCrashDrops.Inc()
+		p.report(false)
 		return
 	}
 	h.txPending++
@@ -180,7 +185,7 @@ func (op *txOp) stackDone() {
 	if h.crashed {
 		// The host died while this message was inside the transmit path:
 		// it terminates here, accounted, so Quiesced() can drain.
-		h.CrashDrops.Inc()
+		h.TxCrashDrops.Inc()
 		h.txPending--
 		op.finish(false)
 		return
@@ -406,23 +411,18 @@ func (h *Host) txFlow(p SendParams, ipProto uint8, tcp *proto.TCPHdr) (e *txFlow
 // writes would survive past the fault window — so chaos schedules stay
 // byte-identical to the pre-cache simulator.
 func (h *Host) sendSlow(core *cpu.Core, ctx stats.CPUContext, p SendParams, ipProto uint8, tcp *proto.TCPHdr, start sim.Time) {
-	finish := func(ok bool) {
-		if p.Done != nil {
-			p.Done(ok)
-		}
-	}
 	h.resolve(p, func(info EndpointInfo, ok bool) {
 		if !ok {
 			h.TxResolveDrops.Inc()
 			h.txPending--
-			finish(false)
+			p.report(false)
 			return
 		}
 		inner, err := h.buildInner(p, ipProto, tcp, info)
 		if err != nil {
 			h.TxBuildDrops.Inc()
 			h.txPending--
-			finish(false)
+			p.report(false)
 			return
 		}
 		s := skb.New(inner)
@@ -434,15 +434,16 @@ func (h *Host) sendSlow(core *cpu.Core, ctx stats.CPUContext, p SendParams, ipPr
 		s.Seq = p.Seq
 		s.SendTime = start
 		if err := s.SetFlowHash(); err != nil {
+			h.TxEmitDrops.Inc()
 			s.Stage("drop:tx-frame")
 			s.Free()
-			finish(false)
+			p.report(false)
 			return
 		}
 		if p.From == nil {
 			// Host networking: straight out the NIC.
 			core.Exec(ctx, costmodel.FnTxNIC, 0, func() {
-				finish(h.sendWire(core, ctx, s, p.DstIP))
+				p.report(h.sendWire(core, ctx, s, p.DstIP))
 			})
 			return
 		}
@@ -450,7 +451,7 @@ func (h *Host) sendSlow(core *cpu.Core, ctx stats.CPUContext, p SendParams, ipPr
 			// Same-host container: the bridge forwards locally; the frame
 			// enters the destination's veth backlog without encapsulation.
 			s.WireTime = h.E.Now()
-			finish(h.Rx.InjectLocal(nil, p.Core, s))
+			p.report(h.Rx.InjectLocal(nil, p.Core, s))
 			return
 		}
 		// Cross-host: encapsulate and transmit.
@@ -460,7 +461,7 @@ func (h *Host) sendSlow(core *cpu.Core, ctx stats.CPUContext, p SendParams, ipPr
 				entropy, h.Net.VNI, h.nextIPID())
 			s.SetData(outer)
 			core.Exec(ctx, costmodel.FnTxNIC, 0, func() {
-				finish(h.sendWire(core, ctx, s, info.HostIP))
+				p.report(h.sendWire(core, ctx, s, info.HostIP))
 			})
 		})
 	})
@@ -523,16 +524,12 @@ func (h *Host) sendPartitioned(op *txOp) {
 	core, ctx, ipProto, tcp, start := op.core, op.ctx, op.ipProto, op.tcp, op.start
 	op.p.Done = nil // the retry loop owns completion now
 	op.finish(false)
-	finish := func(ok bool) {
-		if p.Done != nil {
-			p.Done(ok)
-		}
-	}
 	if ne, ok := h.negCache[p.DstIP]; ok {
 		if ne.epoch == h.cacheEpoch && h.E.Now() < ne.until && ne.kvVersion == ver {
 			h.NegCacheHits.Inc()
+			h.TxResolveDrops.Inc()
 			h.txPending--
-			finish(false)
+			p.report(false)
 			return
 		}
 		delete(h.negCache, p.DstIP)
@@ -541,9 +538,9 @@ func (h *Host) sendPartitioned(op *txOp) {
 	var try func()
 	try = func() {
 		if h.crashed {
-			h.CrashDrops.Inc()
+			h.TxCrashDrops.Inc()
 			h.txPending--
-			finish(false)
+			p.report(false)
 			return
 		}
 		if !h.Net.KV.Partitioned(h.IP) {
@@ -560,7 +557,7 @@ func (h *Host) sendPartitioned(op *txOp) {
 				epoch:     h.cacheEpoch,
 			}
 			h.txPending--
-			finish(false)
+			p.report(false)
 			return
 		}
 		backoff := kvRetryBase << attempt
@@ -694,6 +691,7 @@ func (h *Host) buildInner(p SendParams, ipProto uint8, tcp *proto.TCPHdr, info E
 func (h *Host) sendWire(core *cpu.Core, ctx stats.CPUContext, s *skb.SKB, dstHostIP proto.IPv4Addr) bool {
 	l := h.links[dstHostIP]
 	if l == nil {
+		h.TxEmitDrops.Inc()
 		s.Stage("drop:tx-route")
 		s.Free()
 		return false
@@ -703,6 +701,7 @@ func (h *Host) sendWire(core *cpu.Core, ctx stats.CPUContext, s *skb.SKB, dstHos
 	}
 	parts, err := ipfrag.Fragment(s.Data, l.MTU)
 	if err != nil {
+		h.TxEmitDrops.Inc()
 		s.Stage("drop:tx-frag")
 		s.Free()
 		return false

@@ -196,9 +196,6 @@ func (m *Manager) failover(mon *hostMonitor, t sim.Time) {
 	}
 	m.beginDrain(a, h, rec)
 	m.records = append(m.records, rec)
-	if m.OnGeneration != nil {
-		m.OnGeneration(rec)
-	}
 }
 
 // rejoin re-admits a rebooted host: a generation bump records the
@@ -217,7 +214,4 @@ func (m *Manager) rejoin(mon *hostMonitor, t sim.Time) {
 	}
 	delete(m.draining, h.Name)
 	m.records = append(m.records, rec)
-	if m.OnGeneration != nil {
-		m.OnGeneration(rec)
-	}
 }

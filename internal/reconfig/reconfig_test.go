@@ -6,6 +6,7 @@ import (
 	falconcore "falcon/internal/core"
 	"falcon/internal/devices"
 	"falcon/internal/faults"
+	"falcon/internal/overlay"
 	"falcon/internal/reconfig"
 	"falcon/internal/sim"
 	"falcon/internal/socket"
@@ -221,7 +222,7 @@ func runCrashBed(t *testing.T, shards int) (*workload.Testbed, *reconfig.Manager
 	tb.Run(16 * sim.Millisecond)
 	tl := crashTimeline{
 		delivered: f.Sock.Delivered.Value() + spareSock.Delivered.Value(),
-		crashed:   mgr.Snapshot().Crash,
+		crashed:   mgr.Snapshot()[overlay.DropCrash],
 	}
 	for _, rec := range mgr.Records() {
 		tl.kinds = append(tl.kinds, rec.Action.Kind)
@@ -270,7 +271,7 @@ func TestDetectorFailoverAndRejoin(t *testing.T) {
 		t.Fatal("no packets delivered on the spare twin after fail-over")
 	}
 	snap := mgr.Snapshot()
-	if snap.Crash == 0 {
+	if snap[overlay.DropCrash] == 0 {
 		t.Fatal("crash drop bucket empty — the blackout destroyed nothing?")
 	}
 	delivered := f.Sock.Delivered.Value() + spareSock.Delivered.Value()
@@ -279,7 +280,7 @@ func TestDetectorFailoverAndRejoin(t *testing.T) {
 		int64(snap.Total()) - int64(tb.Client.TxPending())
 	if unaccounted != 0 {
 		t.Fatalf("%d packets unaccounted across crash+reboot (sent=%d delivered=%d crash=%d)",
-			unaccounted, f.Sent(), delivered, snap.Crash)
+			unaccounted, f.Sent(), delivered, snap[overlay.DropCrash])
 	}
 }
 

@@ -1,6 +1,9 @@
 package reconfig
 
-import "falcon/internal/sim"
+import (
+	"falcon/internal/overlay"
+	"falcon/internal/sim"
+)
 
 // recoverFrac is the fraction of baseline per-bucket throughput a bucket
 // must reach to count as recovered (same threshold the chaos experiments
@@ -18,10 +21,9 @@ type Convergence struct {
 	// BlackoutMs is the longest run of consecutive zero-delivery
 	// millisecond buckets in this generation's window.
 	BlackoutMs int
-	// LossPkts is the drop-census delta across the generation's window
-	// (this boundary to the next), bucketed in Drops.
-	LossPkts uint64
-	Drops    DropSnapshot
+	// Drops is the drop-census delta across the generation's window
+	// (this boundary to the next); its Total is the generation's loss.
+	Drops overlay.DropCensus
 	// RecoverMs is the time from the effective instant to the first
 	// bucket at ≥80% of pre-reconfig throughput (-1: never recovered
 	// inside the window).
@@ -41,7 +43,7 @@ type Convergence struct {
 // both runs) cancels and only datapath divergence counts. Without a
 // reference the baseline is the mean bucket before the first
 // generation's effective time.
-func Analyze(samples, ref []uint64, recs []*GenRecord, base sim.Time, final DropSnapshot) []Convergence {
+func Analyze(samples, ref []uint64, recs []*GenRecord, base sim.Time, final overlay.DropCensus) []Convergence {
 	nb := len(samples) - 1
 	if nb <= 0 || len(recs) == 0 {
 		return nil
@@ -77,17 +79,16 @@ func Analyze(samples, ref []uint64, recs []*GenRecord, base sim.Time, final Drop
 	for i, r := range recs {
 		start := evMs(r)
 		end := nb
-		var nextSnap DropSnapshot
+		var nextSnap overlay.DropCensus
 		if i+1 < len(recs) {
 			end = evMs(recs[i+1])
 			nextSnap = recs[i+1].Drops
 		} else {
 			nextSnap = final
 		}
-		delta := nextSnap.Sub(r.Drops)
 		c := Convergence{
 			Gen: r.Gen, Kind: r.Action.Kind, AtMs: r.Action.AtMs,
-			LossPkts: delta.Total(), Drops: delta, RecoverMs: -1,
+			Drops: nextSnap.Sub(r.Drops), RecoverMs: -1,
 		}
 		run := 0
 		for b := start; b < end; b++ {

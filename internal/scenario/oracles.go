@@ -340,19 +340,15 @@ func conservationOn(sc Scenario, ac AccountResult, mode string) *Violation {
 	if !sc.UDPOnly() || sc.MTU != 0 {
 		return nil // exact frame accounting needs UDP-only, unfragmented
 	}
-	clientSide := ac.Wire + ac.TxResolveDrops + ac.TxBuildDrops + ac.LinkDropped
-	if ac.Sent != clientSide {
+	if ac.Sent != ac.Wire+ac.TxDrops.Total() {
 		return &Violation{"conservation",
-			fmt.Sprintf("%s: client side: sent=%d != wire=%d + resolve=%d + build=%d + txq=%d",
-				mode, ac.Sent, ac.Wire, ac.TxResolveDrops, ac.TxBuildDrops, ac.LinkDropped)}
+			fmt.Sprintf("%s: client side: sent=%d != wire=%d + drops (%v)",
+				mode, ac.Sent, ac.Wire, ac.TxDrops)}
 	}
-	serverSide := ac.Delivered + ac.NICDrops + ac.BacklogDrops + ac.SocketDrops +
-		ac.PathDrops + ac.L4Drops + ac.LinkLost + ac.CrashDrops
-	if ac.Wire != serverSide {
+	if ac.Wire != ac.Delivered+ac.SocketDrops+ac.RxDrops.Total() {
 		return &Violation{"conservation",
-			fmt.Sprintf("%s: server side: wire=%d != delivered=%d + nic=%d + backlog=%d + sock=%d + path=%d + l4=%d + lost=%d + crash=%d",
-				mode, ac.Wire, ac.Delivered, ac.NICDrops, ac.BacklogDrops,
-				ac.SocketDrops, ac.PathDrops, ac.L4Drops, ac.LinkLost, ac.CrashDrops)}
+			fmt.Sprintf("%s: server side: wire=%d != delivered=%d + sock=%d + drops (%v)",
+				mode, ac.Wire, ac.Delivered, ac.SocketDrops, ac.RxDrops)}
 	}
 	return nil
 }
@@ -464,8 +460,7 @@ func checkEquivalence(c *Ctx) *Violation {
 
 // totalDrops sums every loss bucket of an accounting run.
 func totalDrops(ac AccountResult) uint64 {
-	return ac.NICDrops + ac.BacklogDrops + ac.SocketDrops + ac.PathDrops +
-		ac.L4Drops + ac.LinkLost + ac.LinkDropped + ac.TxResolveDrops + ac.TxBuildDrops
+	return ac.TxDrops.Total() + ac.RxDrops.Total() + ac.SocketDrops
 }
 
 func checkMonotonicity(c *Ctx) *Violation {
@@ -627,11 +622,11 @@ func checkCacheTransparency(c *Ctx) *Violation {
 		return &Violation{"cache-transparency", v.Detail}
 	}
 	if onSh.Sent != on.Sent || onSh.Wire != on.Wire || onSh.Delivered != on.Delivered ||
-		totalDrops(onSh)+onSh.CrashDrops != totalDrops(on)+on.CrashDrops {
+		totalDrops(onSh) != totalDrops(on) {
 		return &Violation{"cache-transparency",
 			fmt.Sprintf("cached run diverges across shard counts: serial sent=%d wire=%d delivered=%d drops=%d, 4-shard sent=%d wire=%d delivered=%d drops=%d",
-				on.Sent, on.Wire, on.Delivered, totalDrops(on)+on.CrashDrops,
-				onSh.Sent, onSh.Wire, onSh.Delivered, totalDrops(onSh)+onSh.CrashDrops)}
+				on.Sent, on.Wire, on.Delivered, totalDrops(on),
+				onSh.Sent, onSh.Wire, onSh.Delivered, totalDrops(onSh))}
 	}
 	// Delivery-set half: closed-loop flood adapts its send schedule to
 	// the datapath under test (the cache changes costs, so the schedules
@@ -643,7 +638,7 @@ func checkCacheTransparency(c *Ctx) *Violation {
 	off := sc
 	off.RxCache = false
 	ao := c.account(off, mode)
-	if totalDrops(on)+on.CrashDrops != 0 || totalDrops(ao)+ao.CrashDrops != 0 {
+	if totalDrops(on) != 0 || totalDrops(ao) != 0 {
 		return nil // a dropped packet makes set comparison meaningless
 	}
 	for i := range ao.PerFlowSent {

@@ -63,12 +63,12 @@ type AccountResult struct {
 
 	PerFlowSent, PerFlowDelivered []uint64 // per UDP flow
 
-	NICDrops, BacklogDrops, SocketDrops, PathDrops, L4Drops uint64
-	LinkLost, LinkDropped, TxResolveDrops, TxBuildDrops     uint64
-	// CrashDrops counts packets destroyed by a host crash on the receive
-	// side: frames blackholed at the dead NIC/stack plus queue-resident
-	// packets purged when the host went down.
-	CrashDrops uint64
+	// TxDrops is the client's sender-side drop census (sends that never
+	// reached the wire); RxDrops the receiver-side census of the hosts
+	// packets are delivered on (wire frames that never reached a
+	// socket). SocketDrops are receive-queue overflows.
+	TxDrops, RxDrops overlay.DropCensus
+	SocketDrops      uint64
 
 	OrderViols uint64 // per-flow sequence regressions on UDP sockets
 
@@ -107,7 +107,7 @@ func build(sc Scenario, falcon, withAudit bool) *bed {
 		MTU: sc.MTU, Seed: sc.Seed,
 		// TCP endpoints share connection state, so scenarios with any
 		// TCP flow colocate both hosts on one shard.
-		Shards: sc.Shards, Colocate: !sc.UDPOnly(), FixedHorizon: sc.FixedHorizon,
+		Shards: sc.Shards, Colocate: !sc.UDPOnly(),
 		// A drain or a crash fail-over needs the spare host carrying
 		// standby twins of every server container.
 		Spare:   sc.HasDrain() || sc.HasCrash(),
@@ -384,30 +384,28 @@ func Account(sc Scenario, falcon bool) AccountResult {
 	// also puts post-migration frames on the client→spare link.
 	b.tb.Client.EachLink(func(_ proto.IPv4Addr, l *devices.Link) {
 		out.Wire += l.Sent.Value()
-		out.LinkLost += l.Lost.Value()
-		out.LinkDropped += l.Dropped.Value()
 	})
-	cli := b.tb.Client
-	for _, h := range rxHosts(b.tb) {
-		out.NICDrops += h.NIC.Drops.Value()
-		out.BacklogDrops += h.St.Drops.Value()
-		out.PathDrops += h.Rx.PathDrops.Value()
-		out.L4Drops += h.L4Drops.Value()
-		out.CrashDrops += h.CrashDrops.Value()
-	}
-	out.TxResolveDrops = cli.TxResolveDrops.Value()
-	out.TxBuildDrops = cli.TxBuildDrops.Value()
+	out.TxDrops, out.RxDrops = dropCensus(b.tb)
 	return out
 }
 
-// rxHosts returns every host packets can be delivered on: the server,
-// plus the spare when the scenario provisioned one.
-func rxHosts(tb *workload.Testbed) []*overlay.Host {
-	hs := []*overlay.Host{tb.Server}
-	if tb.Spare != nil {
-		hs = append(hs, tb.Spare)
+// dropCensus splits the testbed's drops by side: sender-side reasons
+// charged to the client, receiver-side reasons charged to every host
+// packets are delivered on (the server, and the spare when the scenario
+// provisioned one).
+func dropCensus(tb *workload.Testbed) (tx, rx overlay.DropCensus) {
+	for r := range overlay.NumDropReasons {
+		if r.Side() == overlay.SideTx {
+			tx[r] = r.Count(tb.Client)
+			continue
+		}
+		for _, h := range tb.Hosts() {
+			if h != tb.Client {
+				rx[r] += r.Count(h)
+			}
+		}
 	}
-	return hs
+	return tx, rx
 }
 
 // dedupe collapses repeated violation strings (a stuck balance fires

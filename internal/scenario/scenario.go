@@ -169,10 +169,6 @@ type Scenario struct {
 	// identity — results are byte-identical for every value, which the
 	// shard-invariance tests assert over the whole corpus.
 	Shards int `json:"-"`
-	// FixedHorizon disables adaptive safe-horizon windows on sharded
-	// runs. An execution knob like Shards (byte-identical either way),
-	// excluded from scenario identity for the same reason.
-	FixedHorizon bool `json:"-"`
 }
 
 // Warmup and Window convert the ms fields to engine time.

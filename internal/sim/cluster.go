@@ -21,9 +21,9 @@ import (
 // source endpoint via PostSource.Bound, or globally via Bound. Each
 // iteration the coordinator computes the earliest pending LP event t
 // and a window end E such that no cross-shard frame sent during [t, E]
-// can arrive at or before E: with adaptive horizons (the default) E is
-// the minimum over busy shards of (next event + that shard's minimum
-// outgoing lookahead) - 1, which degenerates to the classic uniform
+// can arrive at or before E: with adaptive horizons E is the minimum
+// over busy shards of (next event + that shard's minimum outgoing
+// lookahead) - 1, which degenerates to the classic uniform
 // [t, t+L-1] when every shard is busy and every pairwise bound equals
 // the global minimum L, and widens — often dramatically — when
 // cross-shard senders are idle or their pairwise bounds exceed L.
@@ -45,8 +45,8 @@ import (
 //     tie-break identically.
 //   - Window boundaries do not influence the merge: two runs that
 //     window the same event set differently still drain every message
-//     before its arrival time with the same key order, so adaptive
-//     and fixed horizons produce byte-identical schedules.
+//     before its arrival time with the same key order, so window
+//     placement never reaches the schedule.
 //   - Global events at time g run with every LP parked at g, before
 //     any LP event at g — matching the serial engine, where control
 //     events are construction-scheduled and hence carry lower
@@ -69,8 +69,7 @@ type Cluster struct {
 	declMin  []Time // min declared pairwise bound (0 = none yet)
 	effOut   []Time // effective min outgoing lookahead (maxTime = cannot send)
 
-	adaptive bool
-	curEnd   Time // current window end; -1 outside windows (Post guard)
+	curEnd Time // current window end; -1 outside windows (Post guard)
 
 	nexts   []Time // per-LP NextAt cache for the window scan
 	work    []int  // busy LP indices for the current window
@@ -151,7 +150,7 @@ func NewCluster(seed uint64, shards, workers int) *Cluster {
 	if workers > shards {
 		workers = shards
 	}
-	c := &Cluster{root: NewRand(seed), workers: workers, adaptive: true, curEnd: -1}
+	c := &Cluster{root: NewRand(seed), workers: workers, curEnd: -1}
 	c.global = NewShared(c.root)
 	c.lps = make([]*Engine, shards)
 	for i := range c.lps {
@@ -203,17 +202,6 @@ func (c *Cluster) Shard(i int) *Engine { return c.lps[i%len(c.lps)] }
 
 // NumShards returns the number of logical processes.
 func (c *Cluster) NumShards() int { return len(c.lps) }
-
-// Lookahead returns the current global cross-shard lookahead (0:
-// unbounded — no cross-shard link registered yet).
-func (c *Cluster) Lookahead() Time { return c.look }
-
-// SetAdaptive toggles adaptive safe-horizon windows. On (the default),
-// window ends are derived per-window from each busy shard's next event
-// and pairwise lookaheads; off, every window is clipped to the static
-// global lookahead — the PR-5 behaviour, kept for A/B testing. The
-// event schedule is byte-identical either way.
-func (c *Cluster) SetAdaptive(on bool) { c.adaptive = on }
 
 // Bound lowers the cluster-wide lookahead floor to d: a cross-shard
 // sender that does not (or cannot) declare a pairwise bound is held to
@@ -532,12 +520,8 @@ func (c *Cluster) run(deadline Time, park bool) {
 		// event.
 		end := deadline
 		if c.look > 0 {
-			if c.adaptive {
-				if e := c.adaptiveEnd(); e < end {
-					end = e
-				}
-			} else if tLP+c.look-1 < end {
-				end = tLP + c.look - 1
+			if e := c.adaptiveEnd(); e < end {
+				end = e
 			}
 		}
 		if okG && tG-1 < end {

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -226,9 +227,8 @@ func TestClusterBudget(t *testing.T) {
 // check is computed against the endpoint's own (stale) clock, so the
 // arrival can land inside a window that was widened using shard 1's
 // next *pending* event — which is later than its clock.
-func staleClockTopology(adaptive bool) (*Cluster, *Time) {
+func staleClockTopology() (*Cluster, *Time) {
 	c := NewCluster(1, 2, 1)
-	c.SetAdaptive(adaptive)
 	s0, s1 := c.Shard(0), c.Shard(1)
 	out := c.Source(s1, s0)
 	out.Bound(10_000)
@@ -248,7 +248,7 @@ func staleClockTopology(adaptive bool) (*Cluster, *Time) {
 // the active window must abort deterministically rather than deliver a
 // message the window's derivation assumed impossible.
 func TestClusterAdaptiveGuard(t *testing.T) {
-	c, _ := staleClockTopology(true)
+	c, _ := staleClockTopology()
 	defer func() {
 		r := recover()
 		if r == nil {
@@ -261,75 +261,73 @@ func TestClusterAdaptiveGuard(t *testing.T) {
 	c.RunUntil(100_000)
 }
 
-// TestClusterAdaptiveGuardFixedOK: the same post is legal under static
-// horizons (windows never extend past tLP+L-1, so the arrival is
-// outside every window) and must be delivered at its exact time — the
-// guard rejects only what the adaptive derivation cannot prove safe.
-func TestClusterAdaptiveGuardFixedOK(t *testing.T) {
-	c, deliveredAt := staleClockTopology(false)
-	c.RunUntil(100_000)
-	if *deliveredAt != 12_000 {
-		t.Fatalf("stale-clock post delivered at %v under static horizons, want 12000", *deliveredAt)
-	}
-}
-
 // runAsym is a workload where adaptive horizons should pay off: shard 0
 // steps densely but declares a wide outgoing bound (8000ns), while
 // shard 2 steps rarely with a tight bound (800ns) that also sets the
-// global floor. Static windows are clipped to the 800ns floor on every
-// round; adaptive windows stretch to shard 0's declared bound whenever
-// shard 2's next event is far away. Shard 1 only receives.
-func runAsym(t *testing.T, adaptive bool) ([]string, ClusterStats) {
-	t.Helper()
+// global floor. Static windows would be clipped to the 800ns floor on
+// every round; adaptive windows stretch to shard 0's declared bound
+// whenever shard 2's next event is far away. Shard 1 only receives.
+// It returns the time of every fired event with the cluster's stats.
+func runAsym() ([]Time, ClusterStats) {
 	c := NewCluster(5, 3, 1)
-	c.SetAdaptive(adaptive)
 	ae, be, ce := c.Shard(0), c.Shard(1), c.Shard(2)
 	ab, cb := c.Source(ae, be), c.Source(ce, be)
 	ab.Bound(8000)
 	cb.Bound(800)
-	var trace []string
+	var fired []Time
 	rngA, rngC := c.Rand().Fork(), c.Rand().Fork()
 	var stepA, stepC func()
 	stepA = func() {
+		fired = append(fired, ae.Now())
 		ab.Post(ae.Now()+8000+Time(rngA.Intn(100)), nil, func(any) {
-			trace = append(trace, fmt.Sprintf("a@%d", be.Now()))
+			fired = append(fired, be.Now())
 		}, nil)
 		ae.After(Time(150+rngA.Intn(100)), stepA)
 	}
 	stepC = func() {
+		fired = append(fired, ce.Now())
 		cb.Post(ce.Now()+800+Time(rngC.Intn(100)), nil, func(any) {
-			trace = append(trace, fmt.Sprintf("c@%d", be.Now()))
+			fired = append(fired, be.Now())
 		}, nil)
 		ce.After(Time(18_000+rngC.Intn(4_000)), stepC)
 	}
 	ae.After(0, stepA)
 	ce.After(7, stepC)
-	c.RunUntil(300_000)
-	return trace, c.Stats()
+	c.RunUntil(asymDeadline)
+	return fired, c.Stats()
+}
+
+const asymDeadline = 300_000
+
+// staticWindows counts the windows the static tLP+L-1 horizon needs to
+// run the given event times: each window opens at the earliest event
+// not yet run and spans the global lookahead look.
+func staticWindows(fired []Time, look Time) uint64 {
+	sort.Slice(fired, func(i, j int) bool { return fired[i] < fired[j] })
+	var n uint64
+	end := Time(-1)
+	for _, at := range fired {
+		if at > end {
+			n++
+			end = min(at+look-1, asymDeadline)
+		}
+	}
+	return n
 }
 
 // TestClusterAdaptiveWindowsWider is the perf property of adaptive
 // horizons, asserted rather than eyeballed: on the asymmetric workload
-// the adaptive run needs a small fraction of the static run's barriers,
-// and the delivery schedule stays byte-identical — windows change, the
-// simulation does not.
+// the adaptive run needs under half the barriers the static horizon
+// would need for the same events.
 func TestClusterAdaptiveWindowsWider(t *testing.T) {
-	fixedTrace, fixedStats := runAsym(t, false)
-	adptTrace, adptStats := runAsym(t, true)
-	if len(fixedTrace) == 0 {
-		t.Fatal("workload produced no deliveries")
+	fired, st := runAsym()
+	if len(fired) == 0 {
+		t.Fatal("workload fired no events")
 	}
-	if !reflect.DeepEqual(adptTrace, fixedTrace) {
-		t.Fatalf("delivery schedule changed under adaptive horizons\nfixed:    %v\nadaptive: %v",
-			fixedTrace, adptTrace)
-	}
-	if adptStats.Msgs != fixedStats.Msgs {
-		t.Fatalf("cross-shard message count changed: fixed %d, adaptive %d",
-			fixedStats.Msgs, adptStats.Msgs)
-	}
-	if 2*adptStats.Windows >= fixedStats.Windows {
+	static := staticWindows(fired, 800)
+	if 2*st.Windows >= static {
 		t.Fatalf("adaptive horizons did not widen windows: %d windows adaptive vs %d static",
-			adptStats.Windows, fixedStats.Windows)
+			st.Windows, static)
 	}
 }
 

@@ -6,17 +6,16 @@ import (
 	"sort"
 
 	"falcon/internal/audit"
-	"falcon/internal/devices"
 	"falcon/internal/overlay"
-	"falcon/internal/proto"
 	"falcon/internal/skb"
 	"falcon/internal/socket"
 )
 
 // EnableAudit attaches a run auditor to the testbed: the SKB lifecycle
 // ledger on both hosts' transmit paths, one conservation balance per
-// named drop stage (every counter the datapath increments when it frees
-// a packet must match the ledger's dispositions at that stage), queue
+// drop reason that frees an SKB (the reason's counter must match the
+// ledger's dispositions at its stages), the transmit balance covering
+// the reasons that strike before an SKB exists, queue
 // validation over every NIC ring and socket receive queue, and a
 // per-core softirq watchdog. Call before traffic starts.
 //
@@ -37,52 +36,40 @@ func (tb *Testbed) EnableAudit(cfg audit.Config) *audit.Auditor {
 		}
 	}
 
-	// Every named drop counter pairs with the ledger dispositions freed
-	// at that stage; a packet that vanishes without touching its stage's
-	// counter (or vice versa) breaks the pair immediately.
-	a.Balance("nic-drops",
-		[]audit.Term{audit.T("nic.Drops", sum(func(h *overlay.Host) uint64 { return h.NIC.Drops.Value() }))},
-		[]audit.Term{audit.T("ledger", a.Disposed("drop:nic-ring", "drop:nic-frame"))})
-	a.Balance("backlog-drops",
-		[]audit.Term{audit.T("stack.Drops", sum(func(h *overlay.Host) uint64 { return h.St.Drops.Value() }))},
-		[]audit.Term{audit.T("ledger", a.Disposed("drop:backlog"))})
-	a.Balance("link-loss",
-		[]audit.Term{audit.T("link.Lost", sum(func(h *overlay.Host) uint64 {
-			return linkSum(h, func(l *devices.Link) uint64 { return l.Lost.Value() })
-		}))},
-		[]audit.Term{audit.T("ledger", a.Disposed("drop:link-loss"))})
-	a.Balance("link-txq",
-		[]audit.Term{audit.T("link.Dropped", sum(func(h *overlay.Host) uint64 {
-			return linkSum(h, func(l *devices.Link) uint64 { return l.Dropped.Value() })
-		}))},
-		[]audit.Term{audit.T("ledger", a.Disposed("drop:link-txq"))})
+	// The transmit equation: every message entering sendL4 either
+	// becomes a ledgered SKB, is counted by a drop reason that strikes
+	// before any SKB exists, or is still in flight through asynchronous
+	// KV resolution.
+	txMsgs := a.Balance("tx-msgs",
+		[]audit.Term{audit.T("tx.Msgs", sum(func(h *overlay.Host) uint64 { return h.TxMsgs.Value() }))},
+		[]audit.Term{
+			audit.T("skb.created", a.CreatedAt("tx:fast", "tx:slow")),
+			audit.T("tx.Pending", sum(func(h *overlay.Host) uint64 { return h.TxPending() })),
+		})
+	// Every drop reason that frees an SKB pairs its counter with the
+	// ledger dispositions at its stages; a packet that vanishes without
+	// touching its stage's counter (or vice versa) breaks the pair
+	// immediately.
+	for r := range overlay.NumDropReasons {
+		term := audit.T(r.String(), sum(r.Count))
+		if stages := r.Stages(); len(stages) > 0 {
+			a.Balance(r.String(), []audit.Term{term}, []audit.Term{audit.T("ledger", a.Disposed(stages...))})
+		} else {
+			txMsgs.AddRHS(term)
+		}
+	}
 	a.Balance("gro-absorbed",
 		[]audit.Term{
 			audit.T("nic.GROMerged", sum(func(h *overlay.Host) uint64 { return h.NIC.GROMerged() })),
 			audit.T("innerGROMerged", sum(func(h *overlay.Host) uint64 { return h.Rx.InnerGROMerged() })),
 		},
 		[]audit.Term{audit.T("ledger", a.Disposed("gro-absorbed"))})
-	a.Balance("l4-drops",
-		[]audit.Term{audit.T("host.L4Drops", sum(func(h *overlay.Host) uint64 { return h.L4Drops.Value() }))},
-		[]audit.Term{audit.T("ledger", a.Disposed("drop:l4-frame", "drop:l4-unbound"))})
 	sockDrops := a.Balance("sock-drops",
 		[]audit.Term{}, // per-socket terms appended on open
 		[]audit.Term{audit.T("ledger", a.Disposed("drop:sock-overflow"))})
 	delivered := a.Balance("delivered",
 		[]audit.Term{}, // per-socket terms appended on open
 		[]audit.Term{audit.T("ledger", a.Disposed("delivered"))})
-
-	// The transmit equation: every message entering sendL4 either
-	// becomes a ledgered SKB, is counted as a resolve/build drop, or is
-	// still in flight through asynchronous KV resolution.
-	a.Balance("tx-msgs",
-		[]audit.Term{audit.T("tx.Msgs", sum(func(h *overlay.Host) uint64 { return h.TxMsgs.Value() }))},
-		[]audit.Term{
-			audit.T("skb.created", a.CreatedAt("tx:fast", "tx:slow")),
-			audit.T("tx.ResolveDrops", sum(func(h *overlay.Host) uint64 { return h.TxResolveDrops.Value() })),
-			audit.T("tx.BuildDrops", sum(func(h *overlay.Host) uint64 { return h.TxBuildDrops.Value() })),
-			audit.T("tx.Pending", sum(func(h *overlay.Host) uint64 { return h.TxPending() })),
-		})
 
 	for _, h := range hosts {
 		h := h
@@ -121,21 +108,12 @@ func (tb *Testbed) EnableAudit(cfg audit.Config) *audit.Auditor {
 	return a
 }
 
-// linkSum aggregates a counter over every outgoing link of h. Each
-// unidirectional link is owned by exactly one sending host, so summing
-// per-host egress links visits every link in the testbed exactly once.
-func linkSum(h *overlay.Host, get func(l *devices.Link) uint64) uint64 {
-	var n uint64
-	h.EachLink(func(_ proto.IPv4Addr, l *devices.Link) { n += get(l) })
-	return n
-}
-
 // dumpHost renders one host's per-core state for watchdog reports and
 // failure dumps.
 func dumpHost(w io.Writer, h *overlay.Host) {
-	fmt.Fprintf(w, "host %s: txmsgs=%d resolve-drops=%d build-drops=%d pending=%d nic-drops=%d backlog-drops=%d l4-drops=%d\n",
-		h.Name, h.TxMsgs.Value(), h.TxResolveDrops.Value(), h.TxBuildDrops.Value(),
-		h.TxPending(), h.NIC.Drops.Value(), h.St.Drops.Value(), h.L4Drops.Value())
+	var drops overlay.DropCensus
+	drops.Add(h)
+	fmt.Fprintf(w, "host %s: txmsgs=%d pending=%d drops: %v\n", h.Name, h.TxMsgs.Value(), h.TxPending(), drops)
 	for c := 0; c < h.M.NumCores(); c++ {
 		core := h.M.Core(c)
 		local, remote, pending, draining := h.St.BacklogState(c)
