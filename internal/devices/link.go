@@ -67,11 +67,10 @@ type Link struct {
 	// inflight is the FIFO of frames on the wire. Arrival times are
 	// monotone (serialization order, and jitter is monotonized), and the
 	// engine fires equal-time events in schedule order, so the head of
-	// this ring is always the frame whose delivery event fires next —
+	// this queue is always the frame whose delivery event fires next —
 	// letting delivery run through one shared AtArg trampoline instead of
 	// a per-frame closure.
-	inflight []wireFrame
-	head     int
+	inflight sim.FIFO[wireFrame]
 
 	Sent    stats.Counter
 	Dropped stats.Counter
@@ -164,7 +163,7 @@ func (l *Link) Send(s *skb.SKB) bool {
 	lost := l.LossRate > 0 && l.rng.Float64() < l.LossRate
 	if l.Remote != nil {
 		// Cross-shard wire: the receiving shard owns live frames from
-		// here on, so the in-flight ring keeps the SKB pointer only for
+		// here on, so the in-flight queue keeps the SKB pointer only for
 		// lost frames (disposed locally, at the same simulated time and
 		// drop site as the serial path). The pop event still runs for
 		// every frame to retire the serializer queue in FIFO order.
@@ -172,14 +171,14 @@ func (l *Link) Send(s *skb.SKB) bool {
 		if lost {
 			wf.s = s
 		}
-		l.inflight = append(l.inflight, wf)
+		l.inflight.Push(wf)
 		l.E.AtArg(arrival, linkRemotePop, l)
 		if !lost {
 			l.Remote.Send(s, arrival)
 		}
 		return true
 	}
-	l.inflight = append(l.inflight, wireFrame{s: s, lost: lost})
+	l.inflight.Push(wireFrame{s: s, lost: lost})
 	l.E.AtArg(arrival, linkDeliver, l)
 	return true
 }
@@ -193,13 +192,7 @@ type wireFrame struct {
 // linkDeliver fires when the head-of-wire frame arrives.
 func linkDeliver(v any) {
 	l := v.(*Link)
-	f := l.inflight[l.head]
-	l.inflight[l.head] = wireFrame{}
-	l.head++
-	if l.head == len(l.inflight) {
-		l.inflight = l.inflight[:0]
-		l.head = 0
-	}
+	f := l.inflight.Pop()
 	l.queued--
 	if f.lost {
 		l.Lost.Inc()
@@ -218,13 +211,7 @@ func linkDeliver(v any) {
 // receiving shard (the cluster scheduled it at the same nanosecond).
 func linkRemotePop(v any) {
 	l := v.(*Link)
-	f := l.inflight[l.head]
-	l.inflight[l.head] = wireFrame{}
-	l.head++
-	if l.head == len(l.inflight) {
-		l.inflight = l.inflight[:0]
-		l.head = 0
-	}
+	f := l.inflight.Pop()
 	l.queued--
 	if f.lost {
 		l.Lost.Inc()

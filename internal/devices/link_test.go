@@ -207,3 +207,57 @@ func TestVethPair(t *testing.T) {
 		t.Fatal("pair metadata wrong")
 	}
 }
+
+// TestLinkNeverDrainingBoundsInflight pushes 10^5 frames through a link
+// whose wire never goes idle: one frame is sent per serialization time
+// on top of a standing queue, so the in-flight FIFO is never empty
+// between the first send and the last delivery. Its backing capacity
+// must track the peak queue depth, not the number of frames sent, and
+// delivery must stay in send order.
+func TestLinkNeverDrainingBoundsInflight(t *testing.T) {
+	const frames, standing = 100000, 64
+	e := sim.New(1)
+	l := NewLink(e, 10*Gbps, 1000)
+	var delivered uint64
+	l.Deliver = func(s *skb.SKB) {
+		if s.Seq != delivered {
+			t.Fatalf("delivered seq %d, want %d", s.Seq, delivered)
+		}
+		delivered++
+	}
+	var sent uint64
+	peak := 0
+	send := func() {
+		s := skb.New(make([]byte, 64))
+		s.Seq = sent
+		sent++
+		if !l.Send(s) {
+			t.Fatalf("frame %d dropped", s.Seq)
+		}
+		if q := l.QueueLen(); q > peak {
+			peak = q
+		}
+	}
+	for i := 0; i < standing; i++ {
+		send()
+	}
+	ser := l.SerializationTime(64)
+	var tick func()
+	tick = func() {
+		if l.QueueLen() == 0 {
+			t.Fatalf("wire drained after %d frames", sent)
+		}
+		send()
+		if sent < frames {
+			e.After(ser, tick)
+		}
+	}
+	e.After(ser, tick)
+	e.Run()
+	if delivered != frames {
+		t.Fatalf("delivered %d of %d frames", delivered, frames)
+	}
+	if c := l.inflight.Cap(); c > 2*peak {
+		t.Fatalf("in-flight capacity %d after %d frames, peak depth %d", c, frames, peak)
+	}
+}

@@ -1,6 +1,7 @@
 package overlay
 
 import (
+	"bytes"
 	"fmt"
 
 	"falcon/internal/costmodel"
@@ -70,12 +71,14 @@ type txFlowKey struct {
 // construction) across a flow. The inner template carries IP ID 0 (and a
 // zero TCP header); each packet copies the template and patches only the
 // ID (+ TCP header), which produces byte-identical frames to a from-
-// scratch build. Entries revalidate against the KV store's version AND
-// the network's configuration generation, so both endpoint moves and
-// reconfigurations that never touch the KV (steering flips, topology
-// membership) invalidate them; the cache is bypassed entirely while a
-// KV fault is installed (the degraded path draws RNG per lookup;
-// skipping those draws would change deterministic schedules).
+// scratch build. The template's payload is zeros, so a recycled jumbo
+// buffer whose zero tag covers it only needs the headers copied
+// (skb.Arena.NewTxFrom). Entries revalidate against the KV store's
+// version AND the network's configuration generation, so both endpoint
+// moves and reconfigurations that never touch the KV (steering flips,
+// topology membership) invalidate them; the cache is bypassed entirely
+// while a KV fault is installed (the degraded path draws RNG per
+// lookup; skipping those draws would change deterministic schedules).
 type txFlowEntry struct {
 	kvVersion uint64
 	gen       uint64
@@ -87,6 +90,8 @@ type txFlowEntry struct {
 	hostNet   bool
 	hash      uint32
 	inner     []byte // inner frame template (IP ID 0, TCP header zero)
+	hdr       int    // length of inner's L2-L4 headers
+	zeroTail  bool   // inner[hdr:] is all zeros
 	outer     []byte // outer VXLAN header template (cross-host only)
 }
 
@@ -233,12 +238,16 @@ func (h *Host) transmitEntry(op *txOp, e *txFlowEntry) {
 	if !e.sameHost && !e.hostNet {
 		headroom = proto.OverlayOverhead
 	}
-	s := h.Arena.NewTx(len(e.inner), headroom)
+	s := h.Arena.NewTxFrom(e.inner, e.hdr, headroom, e.zeroTail)
 	if h.Audit != nil {
 		s.Audit(h.Audit, "tx:fast")
+		// A header-only fill trusts the buffer's zero tag; a payload
+		// write that bypassed SetData would leave it stale.
+		if !bytes.Equal(s.Data, e.inner) {
+			h.Audit.SKBMisuse(s, "stale-prime")
+		}
 	}
 	h.txPending--
-	copy(s.Data, e.inner)
 	if op.tcp != nil {
 		proto.PutTCP(s.Data[proto.EthLen+proto.IPv4Len:], *op.tcp)
 	}
@@ -389,9 +398,12 @@ func (h *Host) txFlow(p SendParams, ipProto uint8, tcp *proto.TCPHdr) (e *txFlow
 	}
 	if ipProto == proto.ProtoTCP {
 		e.inner = proto.BuildTCPFrame(srcMAC, dstMAC, srcIP, p.DstIP, proto.TCPHdr{}, 0, payload)
+		e.hdr = proto.EthLen + proto.IPv4Len + proto.TCPLen
 	} else {
 		e.inner = proto.BuildUDPFrame(srcMAC, dstMAC, srcIP, p.DstIP, key.srcPort, key.dstPort, 0, payload)
+		e.hdr = proto.EthLen + proto.IPv4Len + proto.UDPLen
 	}
+	e.zeroTail = allZero(e.inner[e.hdr:])
 	e.hash = skb.FlowKey{SrcIP: srcIP, DstIP: p.DstIP,
 		SrcPort: key.srcPort, DstPort: key.dstPort, Proto: ipProto}.Hash()
 	if !e.sameHost && !e.hostNet {
@@ -735,6 +747,16 @@ func (h *Host) sendWire(core *cpu.Core, ctx stats.CPUContext, s *skb.SKB, dstHos
 		s.Free()
 	}
 	return ok
+}
+
+// allZero reports whether every byte of b is zero.
+func allZero(b []byte) bool {
+	for _, c := range b {
+		if c != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 func (h *Host) nextIPID() uint16 {

@@ -16,7 +16,7 @@ package skb
 type Arena struct {
 	skbs   []*SKB
 	bufs   []*[pooledBufCap]byte
-	jumbos []*[jumboBufCap]byte
+	jumbos []*jumboBuf
 }
 
 // Arena free-list caps: enough to cover a host's steady-state in-flight
@@ -32,28 +32,65 @@ const (
 func NewArena() *Arena { return &Arena{} }
 
 // NewTx is Arena-affine NewTx: the SKB and its backing buffer come from
-// (and will recycle into) this arena. A nil arena falls back to the
-// global pools.
+// (and will recycle into) this arena. A nil arena uses the global
+// pools.
 func (a *Arena) NewTx(size, headroom int) *SKB {
-	if a == nil {
-		return NewTx(size, headroom)
+	s := a.alloc(size, headroom)
+	s.jumbo.clearZero()
+	return s
+}
+
+// NewTxFrom is NewTx with the frame filled from template tmpl: the
+// returned Data equals tmpl, with headroom bytes of room in front of
+// it. hdr is the length of tmpl's headers; zeroTail reports that
+// tmpl[hdr:] is all zeros (the caller checks once per template, not
+// per packet). When it is and the jumbo buffer's zero tag covers the
+// new frame's payload range, only the headers are copied — the 64 KB
+// payload is already in place. The tag is then set to exactly that
+// payload range, so only header writers may touch the frame until it
+// is freed; any other write must go through SetData, which clears it.
+func (a *Arena) NewTxFrom(tmpl []byte, hdr, headroom int, zeroTail bool) *SKB {
+	s := a.alloc(len(tmpl), headroom)
+	j := s.jumbo
+	if j == nil {
+		copy(s.Data, tmpl)
+		return s
 	}
+	from, to := headroom+hdr, headroom+len(tmpl)
+	if zeroTail && j.zeroFrom <= from && to <= j.zeroTo {
+		copy(s.Data[:hdr], tmpl[:hdr])
+	} else {
+		copy(s.Data, tmpl)
+	}
+	if zeroTail {
+		j.zeroFrom, j.zeroTo = from, to
+	} else {
+		j.clearZero()
+	}
+	return s
+}
+
+// alloc takes an SKB and a backing buffer of at least size+headroom
+// bytes from the arena (nil: the global pools). The buffer is not
+// zeroed and a jumbo buffer's zero tag is left as the previous owner
+// set it; the exported constructors settle both.
+func (a *Arena) alloc(size, headroom int) *SKB {
 	var s *SKB
-	if n := len(a.skbs); n > 0 {
+	if a != nil && len(a.skbs) > 0 {
+		n := len(a.skbs)
 		s = a.skbs[n-1]
 		a.skbs[n-1] = nil
 		a.skbs = a.skbs[:n-1]
-		s.Segs = 1
-		s.LastCore = -1
-		s.freed = false
-		s.aud = nil
+		s.reissue()
 	} else {
 		s = getSKB()
 		s.arena = a
 	}
 	total := size + headroom
-	if total <= pooledBufCap {
-		if n := len(a.bufs); n > 0 {
+	switch {
+	case total <= pooledBufCap:
+		if a != nil && len(a.bufs) > 0 {
+			n := len(a.bufs)
 			s.buf = a.bufs[n-1]
 			a.bufs[n-1] = nil
 			a.bufs = a.bufs[:n-1]
@@ -61,16 +98,17 @@ func (a *Arena) NewTx(size, headroom int) *SKB {
 			s.buf = bufPool.Get().(*[pooledBufCap]byte)
 		}
 		s.back = s.buf[:]
-	} else if total <= jumboBufCap {
-		if n := len(a.jumbos); n > 0 {
+	case total <= jumboBufCap:
+		if a != nil && len(a.jumbos) > 0 {
+			n := len(a.jumbos)
 			s.jumbo = a.jumbos[n-1]
 			a.jumbos[n-1] = nil
 			a.jumbos = a.jumbos[:n-1]
 		} else {
-			s.jumbo = jumboPool.Get().(*[jumboBufCap]byte)
+			s.jumbo = jumboPool.Get().(*jumboBuf)
 		}
-		s.back = s.jumbo[:]
-	} else {
+		s.back = s.jumbo.b[:]
+	default:
 		s.back = make([]byte, total)
 	}
 	s.off = headroom
@@ -80,6 +118,7 @@ func (a *Arena) NewTx(size, headroom int) *SKB {
 
 // put recycles a freed SKB and its buffer into the arena (overflow
 // spills to the global pools). Called from Free with s.arena == a.
+// A jumbo buffer's zero tag travels with it.
 func (a *Arena) put(s *SKB) {
 	if s.buf != nil {
 		if len(a.bufs) < arenaBufCap {

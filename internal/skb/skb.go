@@ -28,7 +28,9 @@ type Auditor interface {
 	// SKBFree records that s was legitimately freed.
 	SKBFree(s *SKB)
 	// SKBMisuse reports a pool-misuse attempt ("double-free" or
-	// "stale-free") that the pool suppressed.
+	// "stale-free") that the pool suppressed, or a "stale-prime": a
+	// frame built by NewTxFrom that differs from its template because
+	// a buffer's zero tag outlived a payload write.
 	SKBMisuse(s *SKB, kind string)
 }
 
@@ -127,7 +129,7 @@ type SKB struct {
 	// grows Data into the headroom (the kernel's skb_push, used for
 	// in-place VXLAN encapsulation).
 	buf   *[pooledBufCap]byte
-	jumbo *[jumboBufCap]byte
+	jumbo *jumboBuf
 	back  []byte
 	off   int
 
@@ -171,22 +173,48 @@ const (
 	jumboBufCap  = 65536 + 128
 )
 
+// jumboBuf is a large-class buffer plus its zero tag: b[zeroFrom:zeroTo]
+// is known to hold only zeros, which lets Arena.NewTxFrom skip copying
+// a zero payload that is already in place. The tag travels with the
+// buffer through the arena, the global pool and cross-shard Rehome. A
+// fresh buffer is tagged whole (Go zeroes it); NewTxFrom sets the tag
+// to the payload range it primed; every other way of obtaining or
+// rewriting the buffer (NewTx, SetData, DisownBuf) clears it.
+type jumboBuf struct {
+	b                [jumboBufCap]byte
+	zeroFrom, zeroTo int
+}
+
+// clearZero empties the zero tag. A nil receiver (no jumbo buffer) is
+// a no-op.
+func (j *jumboBuf) clearZero() {
+	if j != nil {
+		j.zeroFrom, j.zeroTo = 0, 0
+	}
+}
+
 // ErrBadFrame is returned by Frame for unparsable frames.
 var ErrBadFrame = errors.New("skb: unparsable frame")
 
 var (
 	skbPool   = sync.Pool{New: func() any { return new(SKB) }}
 	bufPool   = sync.Pool{New: func() any { return new([pooledBufCap]byte) }}
-	jumboPool = sync.Pool{New: func() any { return new([jumboBufCap]byte) }}
+	jumboPool = sync.Pool{New: func() any { return &jumboBuf{zeroTo: jumboBufCap} }}
 )
 
 func getSKB() *SKB {
 	s := skbPool.Get().(*SKB)
+	s.reissue()
+	return s
+}
+
+// reissue readies a recycled SKB for a new owner: one segment, no core
+// affinity, live, and no auditor until Audit attaches one.
+func (s *SKB) reissue() {
 	s.Segs = 1
 	s.LastCore = -1
 	s.freed = false
 	s.aud = nil
-	return s
 }
 
 // poolMisuses counts Free calls the pool rejected (double-free or
@@ -249,20 +277,7 @@ func (s *SKB) Gen() uint32 { return s.gen }
 // The buffer comes from a pool when it fits; callers MUST overwrite all
 // size bytes — the buffer is not zeroed.
 func NewTx(size, headroom int) *SKB {
-	s := getSKB()
-	total := size + headroom
-	if total <= pooledBufCap {
-		s.buf = bufPool.Get().(*[pooledBufCap]byte)
-		s.back = s.buf[:]
-	} else if total <= jumboBufCap {
-		s.jumbo = jumboPool.Get().(*[jumboBufCap]byte)
-		s.back = s.jumbo[:]
-	} else {
-		s.back = make([]byte, total)
-	}
-	s.off = headroom
-	s.Data = s.back[headroom : headroom+size]
-	return s
+	return (*Arena)(nil).NewTx(size, headroom)
 }
 
 // Push extends Data n bytes backward into the headroom and reports
@@ -280,7 +295,10 @@ func (s *SKB) Push(n int) bool {
 // SetData replaces the frame bytes and invalidates the parse caches.
 // Buffer ownership is retained (Free still recycles the pooled buffer),
 // but headroom is gone: the new bytes need not alias the old buffer.
+// The new bytes may have been written into the buffer (GRO appends in
+// place), so its zero tag is cleared.
 func (s *SKB) SetData(b []byte) {
+	s.jumbo.clearZero()
 	s.Data = b
 	s.back = nil
 	s.frameState, s.innerState = 0, 0
@@ -290,6 +308,7 @@ func (s *SKB) SetData(b []byte) {
 // recycling it — for frames whose payload bytes were retained by a
 // longer-lived structure (e.g. the IP reassembler).
 func (s *SKB) DisownBuf() {
+	s.jumbo.clearZero()
 	s.buf = nil
 	s.jumbo = nil
 	s.back = nil
