@@ -67,8 +67,7 @@ func (c Config) withDefaults() Config {
 // Violation is one detected invariant breach.
 type Violation struct {
 	// Kind classifies the breach: "leak", "double-free", "stale-free",
-	// "stale-prime", "use-after-free", "conservation", "queue",
-	// "watchdog", "ledger".
+	// "use-after-free", "conservation", "queue", "watchdog", "ledger".
 	Kind   string
 	At     sim.Time
 	Detail string

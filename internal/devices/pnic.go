@@ -149,7 +149,8 @@ func (n *PNIC) queue(core int) *nicQueue {
 				n.OnReceive(n.St.M.Core(q.core), s, q.deliverNxt)
 				return
 			}
-			q.flushed = nil
+			clear(q.flushed)
+			q.flushed = q.flushed[:0]
 			if q.more || q.ring.Len() > 0 {
 				n.raiseNetRX(q)
 				return
@@ -329,7 +330,7 @@ func (n *PNIC) poll(q *nicQueue) {
 // exhausted with work remaining → a fresh NET_RX activation) or
 // completes the NAPI cycle, re-enabling the hardirq.
 func (n *PNIC) flushAndDeliver(q *nicQueue, more bool) {
-	q.flushed = q.gro.Flush()
+	q.flushed = q.gro.AppendFlush(q.flushed[:0])
 	q.fi = 0
 	q.more = more
 	q.deliverNxt()

@@ -92,6 +92,7 @@ type RxPath struct {
 	PathDrops stats.Counter
 
 	innerGRO map[int]*gro.Engine // per-core gro_cells engines
+	flushBuf []*skb.SKB          // scratch batch for innerMerged's flush
 
 	// Cached Handler method values for the backlog entry points. A bound
 	// method expression like rx.groStage allocates a closure at every
@@ -405,7 +406,7 @@ func (rx *RxPath) reassemble(c *cpu.Core, s *skb.SKB, done func()) {
 	if rx.Reasm == nil {
 		rx.Reasm = ipfrag.NewReassembler()
 	}
-	whole, err := rx.Reasm.Add(s.Data, rx.St.M.E.Now())
+	whole, err := rx.Reasm.Add(s.Linear(), rx.St.M.E.Now())
 	if err != nil {
 		rx.PathDrops.Inc()
 		s.Stage("drop:reasm")
@@ -516,7 +517,8 @@ func (w *rxWalk) innerMerged() {
 		w.bridgeChain()
 		return
 	}
-	flushed := eng.Flush()
+	flushed := eng.AppendFlush(rx.flushBuf[:0])
+	rx.flushBuf = flushed[:0]
 	if out == nil && len(flushed) == 1 {
 		w.s = flushed[0]
 		w.bridgeChain()
@@ -524,13 +526,15 @@ func (w *rxWalk) innerMerged() {
 	}
 	// Multiple packets leave the stage at once (merge output plus
 	// flushed holds, in that order). Rare — batch boundaries only — so
-	// the sequencing closure is acceptable here.
+	// the sequencing closure and a batch copy that outlives the scratch
+	// buffer are acceptable here.
 	c2, done := w.c, w.done
 	w.release()
-	items := flushed
+	var items []*skb.SKB
 	if out != nil {
-		items = append([]*skb.SKB{out}, flushed...)
+		items = append(items, out)
 	}
+	items = append(items, flushed...)
 	var run func(i int)
 	run = func(i int) {
 		if i < len(items) {

@@ -30,8 +30,8 @@ type held struct {
 // Engine holds per-flow merge state for one NAPI context. It is a pure
 // data structure: the caller charges CPU costs.
 type Engine struct {
-	table map[flowKeyID]*held
-	order []flowKeyID // flush order = first-arrival order
+	held  []held            // one run per flow, in first-arrival (flush) order
+	table map[flowKeyID]int // flow → index into held
 
 	// Merged counts segments absorbed into a super-packet; Held counts
 	// packets currently buffered.
@@ -40,11 +40,11 @@ type Engine struct {
 
 // New returns an empty GRO engine.
 func New() *Engine {
-	return &Engine{table: make(map[flowKeyID]*held)}
+	return &Engine{table: make(map[flowKeyID]int)}
 }
 
 // HeldCount returns the number of flows with a packet buffered.
-func (e *Engine) HeldCount() int { return len(e.order) }
+func (e *Engine) HeldCount() int { return len(e.held) }
 
 // Push offers s to the engine. Packets that cannot participate in GRO
 // (non-TCP, unparsable, SYN/FIN/RST) are returned immediately for
@@ -59,25 +59,27 @@ func (e *Engine) Push(s *skb.SKB) *skb.SKB {
 		return s
 	}
 	id := flowKeyID{key: gi.key}
-	h, found := e.table[id]
+	run := held{s: s, nextSeq: gi.seq + uint32(gi.payloadLen), innerOff: gi.innerOff}
+	i, found := e.table[id]
 	if !found {
-		e.table[id] = &held{s: s, nextSeq: gi.seq + uint32(len(gi.payload)), innerOff: gi.innerOff}
-		e.order = append(e.order, id)
+		e.table[id] = len(e.held)
+		e.held = append(e.held, run)
 		return nil
 	}
+	h := &e.held[i]
 	// Contiguity, size and same-encapsulation checks.
 	if gi.seq != h.nextSeq || gi.innerOff != h.innerOff ||
-		len(h.s.Data)+len(gi.payload) > MaxMergedBytes {
+		h.s.Len()+gi.payloadLen > MaxMergedBytes {
 		// Release the held super-packet; s becomes the new head.
 		out := h.s
-		e.table[id] = &held{s: s, nextSeq: gi.seq + uint32(len(gi.payload)), innerOff: gi.innerOff}
+		*h = run
 		return out
 	}
-	mergeAt(h.s, gi.payload, h.innerOff)
+	mergeAt(h.s, gi, h.innerOff)
 	h.s.Segs += s.Segs
-	h.nextSeq += uint32(len(gi.payload))
+	h.nextSeq += uint32(gi.payloadLen)
 	e.Merged++
-	// The absorbed segment's payload was copied into the super-packet;
+	// The absorbed segment's payload now extends the super-packet;
 	// recycle it (the kernel frees merged skbs in gro_pull_from_frag0).
 	s.Stage("gro-absorbed")
 	s.Free()
@@ -86,17 +88,16 @@ func (e *Engine) Push(s *skb.SKB) *skb.SKB {
 
 // Flush releases all held packets in first-arrival order; called at the
 // end of a NAPI poll batch (napi_gro_flush).
-func (e *Engine) Flush() []*skb.SKB {
-	if len(e.order) == 0 {
-		return nil
+func (e *Engine) Flush() []*skb.SKB { return e.AppendFlush(nil) }
+
+// AppendFlush is Flush appending the released packets to dst, so a
+// caller that owns a batch slice flushes without allocating.
+func (e *Engine) AppendFlush(dst []*skb.SKB) []*skb.SKB {
+	for i := range e.held {
+		dst = append(dst, e.held[i].s)
 	}
-	out := make([]*skb.SKB, 0, len(e.order))
-	for _, id := range e.order {
-		if h, ok := e.table[id]; ok {
-			out = append(out, h.s)
-			delete(e.table, id)
-		}
-	}
-	e.order = e.order[:0]
-	return out
+	clear(e.held)
+	e.held = e.held[:0]
+	clear(e.table)
+	return dst
 }

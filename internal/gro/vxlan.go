@@ -16,10 +16,11 @@ import (
 // dissect classifies a frame for GRO: a plain TCP frame, a VXLAN frame
 // with an inner TCP segment, or neither.
 type groInfo struct {
-	key      skb.FlowKey
-	seq      uint32
-	payload  []byte
-	innerOff int // offset of the inner IPv4 header (VXLAN); -1 for plain
+	key        skb.FlowKey
+	seq        uint32
+	payload    []byte // stored part of the TCP payload
+	payloadLen int    // payload wire length, including the zero tail
+	innerOff   int    // offset of the inner IPv4 header (VXLAN); -1 for plain
 }
 
 func dissect(s *skb.SKB) (groInfo, bool) {
@@ -29,26 +30,26 @@ func dissect(s *skb.SKB) (groInfo, bool) {
 	}
 	switch {
 	case f.IP.Protocol == proto.ProtoTCP:
-		if f.TCP.Flags&(proto.TCPSyn|proto.TCPFin|proto.TCPRst) != 0 || len(f.Payload) == 0 {
+		if f.TCP.Flags&(proto.TCPSyn|proto.TCPFin|proto.TCPRst) != 0 || f.PayloadLen() == 0 {
 			return groInfo{}, false
 		}
 		return groInfo{
 			key: skb.FlowKey{SrcIP: f.IP.Src, DstIP: f.IP.Dst,
 				SrcPort: f.TCP.SrcPort, DstPort: f.TCP.DstPort, Proto: proto.ProtoTCP},
-			seq: f.TCP.Seq, payload: f.Payload, innerOff: -1,
+			seq: f.TCP.Seq, payload: f.Payload, payloadLen: f.PayloadLen(), innerOff: -1,
 		}, true
 	case f.IP.Protocol == proto.ProtoUDP && f.UDP.DstPort == proto.VXLANPort:
 		fi, ok := s.VXLANInner()
 		if !ok || fi.IP.Protocol != proto.ProtoTCP {
 			return groInfo{}, false
 		}
-		if fi.TCP.Flags&(proto.TCPSyn|proto.TCPFin|proto.TCPRst) != 0 || len(fi.Payload) == 0 {
+		if fi.TCP.Flags&(proto.TCPSyn|proto.TCPFin|proto.TCPRst) != 0 || fi.PayloadLen() == 0 {
 			return groInfo{}, false
 		}
 		return groInfo{
 			key: skb.FlowKey{SrcIP: fi.IP.Src, DstIP: fi.IP.Dst,
 				SrcPort: fi.TCP.SrcPort, DstPort: fi.TCP.DstPort, Proto: proto.ProtoTCP},
-			seq: fi.TCP.Seq, payload: fi.Payload,
+			seq: fi.TCP.Seq, payload: fi.Payload, payloadLen: fi.PayloadLen(),
 			innerOff: proto.OverlayOverhead + proto.EthLen,
 		}, true
 	default:
@@ -68,12 +69,17 @@ func TCPBytes(s *skb.SKB) int {
 	return 0
 }
 
-// mergeAt appends payload to the merged frame and patches every length
-// and checksum on the path to it: for plain TCP the single IPv4 header;
-// for VXLAN both the outer IPv4/UDP and the inner IPv4.
-func mergeAt(dst *skb.SKB, payload []byte, innerOff int) {
-	dst.SetData(append(dst.Data, payload...))
-	n := uint16(len(payload))
+// mergeAt appends the segment's payload to the merged frame and patches
+// every length and checksum on the path to it: for plain TCP the single
+// IPv4 header; for VXLAN both the outer IPv4/UDP and the inner IPv4. A
+// tail-only payload just grows dst's zero tail. Stored payload bytes
+// are appended, which needs dst linear first when it has a tail.
+func mergeAt(dst *skb.SKB, gi groInfo, innerOff int) {
+	if len(gi.payload) > 0 {
+		dst.SetData(append(dst.Linear(), gi.payload...))
+	}
+	dst.GrowTail(gi.payloadLen - len(gi.payload))
+	n := uint16(gi.payloadLen)
 	patchIPv4 := func(off int) {
 		ip := dst.Data[off:]
 		total := binary.BigEndian.Uint16(ip[2:4]) + n

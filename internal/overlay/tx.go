@@ -1,7 +1,6 @@
 package overlay
 
 import (
-	"bytes"
 	"fmt"
 
 	"falcon/internal/costmodel"
@@ -46,13 +45,13 @@ func (p *SendParams) report(ok bool) {
 // task context: container stack → veth → bridge → vxlan_xmit
 // encapsulation → pNIC, or the plain host stack for host networking.
 func (h *Host) SendUDP(p SendParams) {
-	h.sendL4(p, proto.ProtoUDP, nil)
+	h.sendL4(p, proto.ProtoUDP, proto.TCPHdr{})
 }
 
 // SendTCP transmits one TCP segment with the given header. Payload bytes
 // are p.Payload; ports are taken from the header.
 func (h *Host) SendTCP(p SendParams, hdr proto.TCPHdr) {
-	h.sendL4(p, proto.ProtoTCP, &hdr)
+	h.sendL4(p, proto.ProtoTCP, hdr)
 }
 
 // txFlowKey identifies one transmit flow shape: everything that
@@ -68,12 +67,12 @@ type txFlowKey struct {
 // txFlowEntry is the cached result of resolving and building one flow's
 // frames — the simulation analogue of an ONCache/flow-table entry that
 // amortizes the per-packet vxlan_xmit work (FIB/neighbor lookup + header
-// construction) across a flow. The inner template carries IP ID 0 (and a
-// zero TCP header); each packet copies the template and patches only the
-// ID (+ TCP header), which produces byte-identical frames to a from-
-// scratch build. The template's payload is zeros, so a recycled jumbo
-// buffer whose zero tag covers it only needs the headers copied
-// (skb.Arena.NewTxFrom). Entries revalidate against the KV store's
+// construction) across a flow. The inner template is the frame's headers
+// (IP ID 0, zero TCP header) plus its payload length: each packet copies
+// the headers into a small pooled buffer, carries the payload as the
+// skb's unstored zero tail (skb.Arena.NewTxFrom) and patches only the
+// ID (+ TCP header), which produces frames identical on the wire to a
+// from-scratch build. Entries revalidate against the KV store's
 // version AND the network's configuration generation, so both endpoint
 // moves and reconfigurations that never touch the KV (steering flips,
 // topology membership) invalidate them; the cache is bypassed entirely
@@ -89,9 +88,8 @@ type txFlowEntry struct {
 	sameHost  bool
 	hostNet   bool
 	hash      uint32
-	inner     []byte // inner frame template (IP ID 0, TCP header zero)
-	hdr       int    // length of inner's L2-L4 headers
-	zeroTail  bool   // inner[hdr:] is all zeros
+	inner     []byte // inner frame's L2-L4 headers (IP ID 0, TCP header zero)
+	tail      int    // inner frame's payload length (the skb's zero tail)
 	outer     []byte // outer VXLAN header template (cross-host only)
 }
 
@@ -108,7 +106,7 @@ type txOp struct {
 	ctx     stats.CPUContext
 	p       SendParams
 	ipProto uint8
-	tcp     *proto.TCPHdr
+	tcp     proto.TCPHdr // valid when ipProto is TCP
 	s       *skb.SKB
 	e       *txFlowEntry
 	start   sim.Time // when the app handed us the payload (skb SendTime)
@@ -141,7 +139,7 @@ func (h *Host) getTxOp() *txOp {
 // packet and legitimately reuse the same recycled op.
 func (op *txOp) finish(ok bool) {
 	h, done := op.h, op.p.Done
-	op.h, op.core, op.tcp, op.s, op.e = nil, nil, nil, nil, nil
+	op.h, op.core, op.s, op.e = nil, nil, nil, nil
 	op.p = SendParams{}
 	op.next = h.txOps
 	h.txOps = op
@@ -150,9 +148,9 @@ func (op *txOp) finish(ok bool) {
 	}
 }
 
-// sendL4 is the shared transmit machinery. For TCP, hdr carries the
-// prebuilt TCP header (ports in hdr override p's).
-func (h *Host) sendL4(p SendParams, ipProto uint8, tcp *proto.TCPHdr) {
+// sendL4 is the shared transmit machinery. For TCP, tcp carries the
+// prebuilt TCP header (ports in tcp override p's).
+func (h *Host) sendL4(p SendParams, ipProto uint8, tcp proto.TCPHdr) {
 	h.TxMsgs.Inc()
 	if h.crashed {
 		// The host is dead: the (schedule-driven) send is counted and
@@ -212,7 +210,7 @@ func (op *txOp) stackDone() {
 // sendFast is the healthy-path transmit: flow-cached resolution and
 // template-built frames in a pooled skb with VXLAN headroom.
 func (h *Host) sendFast(op *txOp) {
-	e, resolved := h.txFlow(op.p, op.ipProto, op.tcp)
+	e, resolved := h.txFlow(op.p, op.flowKey())
 	if !resolved {
 		h.TxResolveDrops.Inc()
 		h.txPending--
@@ -238,18 +236,13 @@ func (h *Host) transmitEntry(op *txOp, e *txFlowEntry) {
 	if !e.sameHost && !e.hostNet {
 		headroom = proto.OverlayOverhead
 	}
-	s := h.Arena.NewTxFrom(e.inner, e.hdr, headroom, e.zeroTail)
+	s := h.Arena.NewTxFrom(e.inner, e.tail, headroom)
 	if h.Audit != nil {
 		s.Audit(h.Audit, "tx:fast")
-		// A header-only fill trusts the buffer's zero tag; a payload
-		// write that bypassed SetData would leave it stale.
-		if !bytes.Equal(s.Data, e.inner) {
-			h.Audit.SKBMisuse(s, "stale-prime")
-		}
 	}
 	h.txPending--
-	if op.tcp != nil {
-		proto.PutTCP(s.Data[proto.EthLen+proto.IPv4Len:], *op.tcp)
+	if op.ipProto == proto.ProtoTCP {
+		proto.PutTCP(s.Data[proto.EthLen+proto.IPv4Len:], op.tcp)
 	}
 	proto.PatchIPv4ID(s.Data, h.nextIPID())
 	s.FlowID = p.FlowID
@@ -272,7 +265,7 @@ func (h *Host) transmitEntry(op *txOp, e *txFlowEntry) {
 	}
 	// Cross-host: encapsulate in place (skb_push into the headroom) and
 	// transmit.
-	core.Exec(ctx, costmodel.FnVXLANXmit, len(s.Data), op.afterVXLAN)
+	core.Exec(ctx, costmodel.FnVXLANXmit, s.Len(), op.afterVXLAN)
 }
 
 // hostDone wires out a host-network frame after the NIC doorbell.
@@ -350,17 +343,23 @@ func (h *Host) txEntries() int {
 	return n
 }
 
-// txFlow returns the flow-cache entry for p, building and caching it on
-// first use or after a KV mutation. resolved is false when the
-// destination cannot be resolved (the caller counts the drop); a nil
-// entry with resolved true means the flow is resolvable but unbuildable.
-func (h *Host) txFlow(p SendParams, ipProto uint8, tcp *proto.TCPHdr) (e *txFlowEntry, resolved bool) {
-	key := txFlowKey{from: p.From, dstIP: p.DstIP, ipProto: ipProto, payload: p.Payload}
-	if tcp != nil {
-		key.srcPort, key.dstPort = tcp.SrcPort, tcp.DstPort
-	} else {
-		key.srcPort, key.dstPort = p.SrcPort, p.DstPort
+// flowKey returns the TX flow-cache key of the op's send.
+func (op *txOp) flowKey() txFlowKey {
+	p := op.p
+	key := txFlowKey{from: p.From, dstIP: p.DstIP, ipProto: op.ipProto, payload: p.Payload,
+		srcPort: p.SrcPort, dstPort: p.DstPort}
+	if op.ipProto == proto.ProtoTCP {
+		key.srcPort, key.dstPort = op.tcp.SrcPort, op.tcp.DstPort
 	}
+	return key
+}
+
+// txFlow returns the flow-cache entry for p under key, building and
+// caching it on first use or after a KV mutation. resolved is false
+// when the destination cannot be resolved (the caller counts the drop);
+// a nil entry with resolved true means the flow is resolvable but
+// unbuildable.
+func (h *Host) txFlow(p SendParams, key txFlowKey) (e *txFlowEntry, resolved bool) {
 	ver, gen := h.Net.KV.Version(), h.Net.Generation()
 	if e, ok := h.txLookup(p.Core, key); ok && e.kvVersion == ver && e.gen == gen {
 		return e, true
@@ -389,28 +388,25 @@ func (h *Host) txFlow(p SendParams, ipProto uint8, tcp *proto.TCPHdr) (e *txFlow
 	if p.Payload > limit {
 		return nil, true
 	}
-	payload := make([]byte, key.payload)
 	srcMAC, srcIP := h.MAC, h.IP
 	dstMAC := e.info.HostMAC
 	if p.From != nil {
 		srcMAC, srcIP = p.From.MAC, p.From.IP
 		dstMAC = e.info.ContainerMAC
 	}
-	if ipProto == proto.ProtoTCP {
-		e.inner = proto.BuildTCPFrame(srcMAC, dstMAC, srcIP, p.DstIP, proto.TCPHdr{}, 0, payload)
-		e.hdr = proto.EthLen + proto.IPv4Len + proto.TCPLen
+	if key.ipProto == proto.ProtoTCP {
+		e.inner = proto.TCPHeaders(srcMAC, dstMAC, srcIP, p.DstIP, proto.TCPHdr{}, 0, key.payload)
 	} else {
-		e.inner = proto.BuildUDPFrame(srcMAC, dstMAC, srcIP, p.DstIP, key.srcPort, key.dstPort, 0, payload)
-		e.hdr = proto.EthLen + proto.IPv4Len + proto.UDPLen
+		e.inner = proto.UDPHeaders(srcMAC, dstMAC, srcIP, p.DstIP, key.srcPort, key.dstPort, 0, key.payload)
 	}
-	e.zeroTail = allZero(e.inner[e.hdr:])
+	e.tail = key.payload
 	e.hash = skb.FlowKey{SrcIP: srcIP, DstIP: p.DstIP,
-		SrcPort: key.srcPort, DstPort: key.dstPort, Proto: ipProto}.Hash()
+		SrcPort: key.srcPort, DstPort: key.dstPort, Proto: key.ipProto}.Hash()
 	if !e.sameHost && !e.hostNet {
 		entropy := uint16(49152 + (e.hash % 16384))
 		e.outer = make([]byte, proto.OverlayOverhead)
 		proto.PutEncapHeaders(e.outer, h.MAC, e.info.HostMAC, h.IP, e.info.HostIP,
-			entropy, h.Net.VNI, 0, len(e.inner))
+			entropy, h.Net.VNI, 0, len(e.inner)+e.tail)
 	}
 	h.txCache(p.Core)[key] = e
 	return e, true
@@ -422,7 +418,7 @@ func (h *Host) txFlow(p SendParams, ipProto uint8, tcp *proto.TCPHdr) (e *txFlow
 // cache in both directions — reads would skip the fault's RNG draws and
 // writes would survive past the fault window — so chaos schedules stay
 // byte-identical to the pre-cache simulator.
-func (h *Host) sendSlow(core *cpu.Core, ctx stats.CPUContext, p SendParams, ipProto uint8, tcp *proto.TCPHdr, start sim.Time) {
+func (h *Host) sendSlow(core *cpu.Core, ctx stats.CPUContext, p SendParams, ipProto uint8, tcp proto.TCPHdr, start sim.Time) {
 	h.resolve(p, func(info EndpointInfo, ok bool) {
 		if !ok {
 			h.TxResolveDrops.Inc()
@@ -430,7 +426,7 @@ func (h *Host) sendSlow(core *cpu.Core, ctx stats.CPUContext, p SendParams, ipPr
 			p.report(false)
 			return
 		}
-		inner, err := h.buildInner(p, ipProto, tcp, info)
+		inner, err := h.buildInner(p, ipProto, &tcp, info)
 		if err != nil {
 			h.TxBuildDrops.Inc()
 			h.txPending--
@@ -515,12 +511,7 @@ func (h *Host) sendPartitioned(op *txOp) {
 		h.sendFast(op)
 		return
 	}
-	key := txFlowKey{from: p.From, dstIP: p.DstIP, ipProto: op.ipProto, payload: p.Payload}
-	if op.tcp != nil {
-		key.srcPort, key.dstPort = op.tcp.SrcPort, op.tcp.DstPort
-	} else {
-		key.srcPort, key.dstPort = p.SrcPort, p.DstPort
-	}
+	key := op.flowKey()
 	ver, gen := h.Net.KV.Version(), h.Net.Generation()
 	if e, ok := h.txLookup(p.Core, key); ok {
 		fresh := e.kvVersion == ver && e.gen == gen
@@ -711,7 +702,7 @@ func (h *Host) sendWire(core *cpu.Core, ctx stats.CPUContext, s *skb.SKB, dstHos
 	if l.MTU <= 0 {
 		return l.Send(s)
 	}
-	parts, err := ipfrag.Fragment(s.Data, l.MTU)
+	parts, err := ipfrag.Fragment(s.Linear(), l.MTU)
 	if err != nil {
 		h.TxEmitDrops.Inc()
 		s.Stage("drop:tx-frag")
@@ -747,16 +738,6 @@ func (h *Host) sendWire(core *cpu.Core, ctx stats.CPUContext, s *skb.SKB, dstHos
 		s.Free()
 	}
 	return ok
-}
-
-// allZero reports whether every byte of b is zero.
-func allZero(b []byte) bool {
-	for _, c := range b {
-		if c != 0 {
-			return false
-		}
-	}
-	return true
 }
 
 func (h *Host) nextIPID() uint16 {

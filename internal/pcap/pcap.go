@@ -166,7 +166,7 @@ func Tap(l *devices.Link, pw *Writer) {
 	next := l.Deliver
 	l.Deliver = func(s *skb.SKB) {
 		// Record at delivery time (the far end of the wire).
-		_ = pw.WriteFrame(l.E.Now(), s.Data)
+		_ = pw.WriteFrame(l.E.Now(), s.Linear())
 		if next != nil {
 			next(s)
 		}

@@ -173,3 +173,30 @@ func TestTapRecordsLinkTraffic(t *testing.T) {
 		t.Fatal("trailing bytes in capture")
 	}
 }
+
+// TestTapWritesTailFrameAtFullLength taps a paged frame (headers
+// stored, payload a zero tail): the record must read back as the whole
+// frame on the wire.
+func TestTapWritesTailFrameAtFullLength(t *testing.T) {
+	e := sim.New(1)
+	l := devices.NewLink(e, 10*devices.Gbps, 0)
+	l.Deliver = func(s *skb.SKB) {}
+	var buf bytes.Buffer
+	pw, _ := NewWriter(&buf, 0)
+	Tap(l, pw)
+
+	src, dst := proto.IP4(10, 0, 0, 1), proto.IP4(10, 0, 0, 2)
+	want := proto.BuildUDPFrame(proto.MACFromUint64(1), proto.MACFromUint64(2), src, dst, 100, 200, 7, make([]byte, 9000))
+	s := skb.New(proto.UDPHeaders(proto.MACFromUint64(1), proto.MACFromUint64(2), src, dst, 100, 200, 7, 9000))
+	s.Tail = 9000
+	l.Send(s)
+	e.Run()
+
+	recs, err := ReadAll(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 1 || !bytes.Equal(recs[0].Frame, want) {
+		t.Fatalf("captured %d records; want the %d B frame", len(recs), len(want))
+	}
+}

@@ -12,8 +12,13 @@ type Frame struct {
 	IP      IPv4Hdr
 	UDP     UDPHdr // valid when IP.Protocol == ProtoUDP
 	TCP     TCPHdr // valid when IP.Protocol == ProtoTCP
-	Payload []byte // L4 payload (points into the original buffer)
+	Payload []byte // stored part of the L4 payload (points into the original buffer)
+	Tail    int    // zero payload bytes that follow Payload on the wire, never stored
 }
+
+// PayloadLen returns the L4 payload's wire length: stored bytes plus
+// the zero tail.
+func (f *Frame) PayloadLen() int { return len(f.Payload) + f.Tail }
 
 // SrcPort returns the L4 source port regardless of protocol.
 func (f *Frame) SrcPort() uint16 {
@@ -31,8 +36,15 @@ func (f *Frame) DstPort() uint16 {
 	return f.UDP.DstPort
 }
 
-// ParseFrame dissects an Ethernet frame down to L4.
-func ParseFrame(b []byte) (Frame, error) {
+// ParseFrame dissects a fully stored Ethernet frame down to L4.
+func ParseFrame(b []byte) (Frame, error) { return ParseFrameTail(b, 0) }
+
+// ParseFrameTail dissects a frame whose wire bytes are b followed by
+// tail zero bytes that are not stored (a paged skb's payload). Every
+// header must be stored; IPv4 TotalLen and UDP Length are checked
+// against len(b)+tail. Payload is the stored part of the L4 payload
+// and Tail the part of it that lies in the zero tail.
+func ParseFrameTail(b []byte, tail int) (Frame, error) {
 	var f Frame
 	var err error
 	if f.Eth, err = ParseEthernet(b); err != nil {
@@ -42,13 +54,20 @@ func ParseFrame(b []byte) (Frame, error) {
 		return f, fmt.Errorf("proto: unsupported ethertype %#04x", f.Eth.EtherType)
 	}
 	ip := b[EthLen:]
-	if f.IP, err = ParseIPv4(ip); err != nil {
+	if f.IP, err = parseIPv4(ip, tail); err != nil {
 		return f, err
 	}
-	l4 := ip[IPv4Len:int(f.IP.TotalLen)]
+	// The IP packet is ip[:TotalLen] on the wire; whatever of it lies
+	// past the stored bytes is in the tail.
+	l4, l4Tail := ip[IPv4Len:], 0
+	if total := int(f.IP.TotalLen); total <= len(ip) {
+		l4 = ip[IPv4Len:total]
+	} else {
+		l4Tail = total - len(ip)
+	}
 	if f.IP.FragOff != 0 {
 		// Non-first fragment: no L4 header, raw payload only.
-		f.Payload = l4
+		f.Payload, f.Tail = l4, l4Tail
 		return f, nil
 	}
 	switch f.IP.Protocol {
@@ -64,32 +83,56 @@ func ParseFrame(b []byte) (Frame, error) {
 				DstPort: binary.BigEndian.Uint16(l4[2:4]),
 				Length:  binary.BigEndian.Uint16(l4[4:6]),
 			}
-			f.Payload = l4[UDPLen:]
+			f.Payload, f.Tail = l4[UDPLen:], l4Tail
 			return f, nil
 		}
-		if f.UDP, err = ParseUDP(l4); err != nil {
+		if f.UDP, err = parseUDP(l4, l4Tail); err != nil {
 			return f, err
 		}
-		f.Payload = l4[UDPLen:f.UDP.Length]
+		if n := int(f.UDP.Length); n <= len(l4) {
+			f.Payload = l4[UDPLen:n]
+		} else {
+			f.Payload, f.Tail = l4[UDPLen:], n-len(l4)
+		}
 	case ProtoTCP:
 		if f.TCP, err = ParseTCP(l4); err != nil {
 			return f, err
 		}
-		f.Payload = l4[TCPLen:]
+		f.Payload, f.Tail = l4[TCPLen:], l4Tail
 	default:
 		return f, fmt.Errorf("proto: unsupported IP protocol %d", f.IP.Protocol)
 	}
 	return f, nil
 }
 
+// Header lengths of a complete frame through L4.
+const (
+	UDPHeadersLen = EthLen + IPv4Len + UDPLen
+	TCPHeadersLen = EthLen + IPv4Len + TCPLen
+)
+
 // BuildUDPFrame assembles a complete Ethernet+IPv4+UDP frame around
 // payload. ipID feeds the IPv4 identification field.
 func BuildUDPFrame(srcMAC, dstMAC MAC, srcIP, dstIP IPv4Addr, srcPort, dstPort uint16, ipID uint16, payload []byte) []byte {
-	total := EthLen + IPv4Len + UDPLen + len(payload)
-	b := make([]byte, total)
+	b := make([]byte, UDPHeadersLen+len(payload))
+	putUDPHeaders(b, srcMAC, dstMAC, srcIP, dstIP, srcPort, dstPort, ipID, len(payload))
+	copy(b[UDPHeadersLen:], payload)
+	return b
+}
+
+// UDPHeaders returns the Ethernet+IPv4+UDP headers of a frame carrying
+// payloadLen payload bytes: the stored part of a paged frame whose
+// payload is an unstored zero tail.
+func UDPHeaders(srcMAC, dstMAC MAC, srcIP, dstIP IPv4Addr, srcPort, dstPort uint16, ipID uint16, payloadLen int) []byte {
+	b := make([]byte, UDPHeadersLen)
+	putUDPHeaders(b, srcMAC, dstMAC, srcIP, dstIP, srcPort, dstPort, ipID, payloadLen)
+	return b
+}
+
+func putUDPHeaders(b []byte, srcMAC, dstMAC MAC, srcIP, dstIP IPv4Addr, srcPort, dstPort uint16, ipID uint16, payloadLen int) {
 	PutEthernet(b, EthernetHdr{Dst: dstMAC, Src: srcMAC, EtherType: EtherTypeIPv4})
 	PutIPv4(b[EthLen:], IPv4Hdr{
-		TotalLen: uint16(IPv4Len + UDPLen + len(payload)),
+		TotalLen: uint16(IPv4Len + UDPLen + payloadLen),
 		ID:       ipID,
 		TTL:      64,
 		Protocol: ProtoUDP,
@@ -99,19 +142,29 @@ func BuildUDPFrame(srcMAC, dstMAC MAC, srcIP, dstIP IPv4Addr, srcPort, dstPort u
 	PutUDP(b[EthLen+IPv4Len:], UDPHdr{
 		SrcPort: srcPort,
 		DstPort: dstPort,
-		Length:  uint16(UDPLen + len(payload)),
+		Length:  uint16(UDPLen + payloadLen),
 	})
-	copy(b[EthLen+IPv4Len+UDPLen:], payload)
-	return b
 }
 
 // BuildTCPFrame assembles a complete Ethernet+IPv4+TCP frame.
 func BuildTCPFrame(srcMAC, dstMAC MAC, srcIP, dstIP IPv4Addr, hdr TCPHdr, ipID uint16, payload []byte) []byte {
-	total := EthLen + IPv4Len + TCPLen + len(payload)
-	b := make([]byte, total)
+	b := make([]byte, TCPHeadersLen+len(payload))
+	putTCPHeaders(b, srcMAC, dstMAC, srcIP, dstIP, hdr, ipID, len(payload))
+	copy(b[TCPHeadersLen:], payload)
+	return b
+}
+
+// TCPHeaders is UDPHeaders for a TCP segment.
+func TCPHeaders(srcMAC, dstMAC MAC, srcIP, dstIP IPv4Addr, hdr TCPHdr, ipID uint16, payloadLen int) []byte {
+	b := make([]byte, TCPHeadersLen)
+	putTCPHeaders(b, srcMAC, dstMAC, srcIP, dstIP, hdr, ipID, payloadLen)
+	return b
+}
+
+func putTCPHeaders(b []byte, srcMAC, dstMAC MAC, srcIP, dstIP IPv4Addr, hdr TCPHdr, ipID uint16, payloadLen int) {
 	PutEthernet(b, EthernetHdr{Dst: dstMAC, Src: srcMAC, EtherType: EtherTypeIPv4})
 	PutIPv4(b[EthLen:], IPv4Hdr{
-		TotalLen: uint16(IPv4Len + TCPLen + len(payload)),
+		TotalLen: uint16(IPv4Len + TCPLen + payloadLen),
 		ID:       ipID,
 		TTL:      64,
 		Protocol: ProtoTCP,
@@ -119,6 +172,4 @@ func BuildTCPFrame(srcMAC, dstMAC MAC, srcIP, dstIP IPv4Addr, hdr TCPHdr, ipID u
 		Dst:      dstIP,
 	})
 	PutTCP(b[EthLen+IPv4Len:], hdr)
-	copy(b[EthLen+IPv4Len+TCPLen:], payload)
-	return b
 }

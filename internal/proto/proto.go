@@ -166,7 +166,11 @@ func PatchIPv4ID(b []byte, id uint16) {
 }
 
 // ParseIPv4 reads and validates an IPv4 header from b.
-func ParseIPv4(b []byte) (IPv4Hdr, error) {
+func ParseIPv4(b []byte) (IPv4Hdr, error) { return parseIPv4(b, 0) }
+
+// parseIPv4 is ParseIPv4 for a packet whose wire bytes are b followed
+// by tail unstored zero bytes: the header itself must be stored.
+func parseIPv4(b []byte, tail int) (IPv4Hdr, error) {
 	if len(b) < IPv4Len {
 		return IPv4Hdr{}, errTruncated("ipv4", len(b), IPv4Len)
 	}
@@ -190,8 +194,11 @@ func ParseIPv4(b []byte) (IPv4Hdr, error) {
 		MoreFrags: flags&0x2000 != 0,
 		FragOff:   (flags & 0x1FFF) * 8,
 	}
-	if int(h.TotalLen) > len(b) {
-		return IPv4Hdr{}, errTruncated("ipv4 payload", len(b), int(h.TotalLen))
+	if h.TotalLen < IPv4Len {
+		return IPv4Hdr{}, fmt.Errorf("proto: ipv4 total length %d below header length", h.TotalLen)
+	}
+	if int(h.TotalLen) > len(b)+tail {
+		return IPv4Hdr{}, errTruncated("ipv4 payload", len(b)+tail, int(h.TotalLen))
 	}
 	return h, nil
 }
@@ -212,7 +219,11 @@ func PutUDP(b []byte, h UDPHdr) {
 }
 
 // ParseUDP reads a UDP header from b.
-func ParseUDP(b []byte) (UDPHdr, error) {
+func ParseUDP(b []byte) (UDPHdr, error) { return parseUDP(b, 0) }
+
+// parseUDP is ParseUDP for a datagram whose wire bytes are b followed
+// by tail unstored zero bytes: the header itself must be stored.
+func parseUDP(b []byte, tail int) (UDPHdr, error) {
 	if len(b) < UDPLen {
 		return UDPHdr{}, errTruncated("udp", len(b), UDPLen)
 	}
@@ -221,8 +232,8 @@ func ParseUDP(b []byte) (UDPHdr, error) {
 		DstPort: binary.BigEndian.Uint16(b[2:4]),
 		Length:  binary.BigEndian.Uint16(b[4:6]),
 	}
-	if int(h.Length) > len(b) || h.Length < UDPLen {
-		return UDPHdr{}, errTruncated("udp payload", len(b), int(h.Length))
+	if int(h.Length) > len(b)+tail || h.Length < UDPLen {
+		return UDPHdr{}, errTruncated("udp payload", len(b)+tail, int(h.Length))
 	}
 	return h, nil
 }

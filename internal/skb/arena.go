@@ -14,17 +14,15 @@ package skb
 // also serve as the miss path), so a bursty host cannot strand
 // unbounded memory in its arena.
 type Arena struct {
-	skbs   []*SKB
-	bufs   []*[pooledBufCap]byte
-	jumbos []*jumboBuf
+	skbs []*SKB
+	bufs []*[bufCap]byte
 }
 
 // Arena free-list caps: enough to cover a host's steady-state in-flight
 // window (ring + backlog + GRO holds) without stranding memory.
 const (
-	arenaSKBCap   = 512
-	arenaBufCap   = 512
-	arenaJumboCap = 16
+	arenaSKBCap = 512
+	arenaBufCap = 512
 )
 
 // NewArena returns an empty arena. It fills lazily from the global
@@ -35,45 +33,23 @@ func NewArena() *Arena { return &Arena{} }
 // (and will recycle into) this arena. A nil arena uses the global
 // pools.
 func (a *Arena) NewTx(size, headroom int) *SKB {
-	s := a.alloc(size, headroom)
-	s.jumbo.clearZero()
-	return s
+	return a.alloc(size, headroom)
 }
 
-// NewTxFrom is NewTx with the frame filled from template tmpl: the
-// returned Data equals tmpl, with headroom bytes of room in front of
-// it. hdr is the length of tmpl's headers; zeroTail reports that
-// tmpl[hdr:] is all zeros (the caller checks once per template, not
-// per packet). When it is and the jumbo buffer's zero tag covers the
-// new frame's payload range, only the headers are copied — the 64 KB
-// payload is already in place. The tag is then set to exactly that
-// payload range, so only header writers may touch the frame until it
-// is freed; any other write must go through SetData, which clears it.
-func (a *Arena) NewTxFrom(tmpl []byte, hdr, headroom int, zeroTail bool) *SKB {
-	s := a.alloc(len(tmpl), headroom)
-	j := s.jumbo
-	if j == nil {
-		copy(s.Data, tmpl)
-		return s
-	}
-	from, to := headroom+hdr, headroom+len(tmpl)
-	if zeroTail && j.zeroFrom <= from && to <= j.zeroTo {
-		copy(s.Data[:hdr], tmpl[:hdr])
-	} else {
-		copy(s.Data, tmpl)
-	}
-	if zeroTail {
-		j.zeroFrom, j.zeroTo = from, to
-	} else {
-		j.clearZero()
-	}
+// NewTxFrom builds a paged frame from a template: Data is a copy of the
+// stored headers hdr, with headroom bytes of room in front of it, and
+// Tail is tail — the payload length, whose zero bytes are never
+// stored. Callers may patch the copied headers in place.
+func (a *Arena) NewTxFrom(hdr []byte, tail, headroom int) *SKB {
+	s := a.alloc(len(hdr), headroom)
+	copy(s.Data, hdr)
+	s.Tail = tail
 	return s
 }
 
 // alloc takes an SKB and a backing buffer of at least size+headroom
 // bytes from the arena (nil: the global pools). The buffer is not
-// zeroed and a jumbo buffer's zero tag is left as the previous owner
-// set it; the exported constructors settle both.
+// zeroed.
 func (a *Arena) alloc(size, headroom int) *SKB {
 	var s *SKB
 	if a != nil && len(a.skbs) > 0 {
@@ -88,28 +64,17 @@ func (a *Arena) alloc(size, headroom int) *SKB {
 	}
 	total := size + headroom
 	switch {
-	case total <= pooledBufCap:
-		if a != nil && len(a.bufs) > 0 {
-			n := len(a.bufs)
-			s.buf = a.bufs[n-1]
-			a.bufs[n-1] = nil
-			a.bufs = a.bufs[:n-1]
-		} else {
-			s.buf = bufPool.Get().(*[pooledBufCap]byte)
-		}
-		s.back = s.buf[:]
-	case total <= jumboBufCap:
-		if a != nil && len(a.jumbos) > 0 {
-			n := len(a.jumbos)
-			s.jumbo = a.jumbos[n-1]
-			a.jumbos[n-1] = nil
-			a.jumbos = a.jumbos[:n-1]
-		} else {
-			s.jumbo = jumboPool.Get().(*jumboBuf)
-		}
-		s.back = s.jumbo.b[:]
-	default:
+	case total > bufCap:
 		s.back = make([]byte, total)
+	case a != nil && len(a.bufs) > 0:
+		n := len(a.bufs)
+		s.buf = a.bufs[n-1]
+		a.bufs[n-1] = nil
+		a.bufs = a.bufs[:n-1]
+		s.back = s.buf[:]
+	default:
+		s.buf = bufPool.Get().(*[bufCap]byte)
+		s.back = s.buf[:]
 	}
 	s.off = headroom
 	s.Data = s.back[headroom : headroom+size]
@@ -118,20 +83,12 @@ func (a *Arena) alloc(size, headroom int) *SKB {
 
 // put recycles a freed SKB and its buffer into the arena (overflow
 // spills to the global pools). Called from Free with s.arena == a.
-// A jumbo buffer's zero tag travels with it.
 func (a *Arena) put(s *SKB) {
 	if s.buf != nil {
 		if len(a.bufs) < arenaBufCap {
 			a.bufs = append(a.bufs, s.buf)
 		} else {
 			bufPool.Put(s.buf)
-		}
-	}
-	if s.jumbo != nil {
-		if len(a.jumbos) < arenaJumboCap {
-			a.jumbos = append(a.jumbos, s.jumbo)
-		} else {
-			jumboPool.Put(s.jumbo)
 		}
 	}
 	aud, gen := s.aud, s.gen

@@ -28,9 +28,7 @@ type Auditor interface {
 	// SKBFree records that s was legitimately freed.
 	SKBFree(s *SKB)
 	// SKBMisuse reports a pool-misuse attempt ("double-free" or
-	// "stale-free") that the pool suppressed, or a "stale-prime": a
-	// frame built by NewTxFrom that differs from its template because
-	// a buffer's zero tag outlived a payload write.
+	// "stale-free") that the pool suppressed.
 	SKBMisuse(s *SKB, kind string)
 }
 
@@ -79,11 +77,15 @@ func (k FlowKey) Hash() uint32 {
 		uint32(k.SrcPort)<<16|uint32(k.DstPort)|uint32(k.Proto)<<8)
 }
 
-// SKB is the simulation's sk_buff. It carries the real frame bytes plus
-// the metadata the datapath needs: the flow hash, the current device
-// (skb->dev), GRO segment count, and timestamps for latency measurement.
+// SKB is the simulation's sk_buff. It carries the real header bytes
+// plus the metadata the datapath needs: the flow hash, the current
+// device (skb->dev), GRO segment count, and timestamps for latency
+// measurement. Payload is a length: the frame on the wire is Data
+// followed by Tail zero bytes that are never stored — the analogue of
+// an skb_shinfo frag on a shared zero page.
 type SKB struct {
-	Data []byte // current frame bytes (outer headers while encapsulated)
+	Data []byte // stored frame bytes (outer headers while encapsulated)
+	Tail int    // zero bytes that follow Data on the wire, never stored
 
 	// Hash is the flow hash, computed once when the packet first enters
 	// the stack (HashValid) and preserved across decapsulation updates.
@@ -128,15 +130,14 @@ type SKB struct {
 	// including unused headroom, with Data starting at back[off]. Push
 	// grows Data into the headroom (the kernel's skb_push, used for
 	// in-place VXLAN encapsulation).
-	buf   *[pooledBufCap]byte
-	jumbo *jumboBuf
-	back  []byte
-	off   int
+	buf  *[bufCap]byte
+	back []byte
+	off  int
 
 	// Parsed-header cache: the flow dissector output for the current
-	// Data, carried across device stages so each hop does not re-parse
-	// the frame, plus the VXLAN inner dissect for tunnel GRO. Both are
-	// invalidated whenever Data changes (SetData / Push).
+	// frame, carried across device stages so each hop does not re-parse
+	// it, plus the VXLAN inner dissect for tunnel GRO. Both are
+	// invalidated whenever the frame changes (SetData / Push / GrowTail).
 	frame      proto.Frame
 	frameState uint8 // 0 unparsed, 1 valid, 2 unparsable
 	inner      proto.Frame
@@ -162,44 +163,18 @@ type SKB struct {
 	arena *Arena
 }
 
-// pooledBufCap is the frame-buffer pool's small size class: an MTU
-// frame plus VXLAN overhead and headroom with room to spare.
-// jumboBufCap is the large class, sized for a maximum IP datagram plus
-// encapsulation headroom (the jumbo-frame sends of the large-message
-// experiments previously heap-allocated a fresh 64 KB buffer per
-// packet). Frames beyond both fall back to plain allocation.
-const (
-	pooledBufCap = 2048
-	jumboBufCap  = 65536 + 128
-)
-
-// jumboBuf is a large-class buffer plus its zero tag: b[zeroFrom:zeroTo]
-// is known to hold only zeros, which lets Arena.NewTxFrom skip copying
-// a zero payload that is already in place. The tag travels with the
-// buffer through the arena, the global pool and cross-shard Rehome. A
-// fresh buffer is tagged whole (Go zeroes it); NewTxFrom sets the tag
-// to the payload range it primed; every other way of obtaining or
-// rewriting the buffer (NewTx, SetData, DisownBuf) clears it.
-type jumboBuf struct {
-	b                [jumboBufCap]byte
-	zeroFrom, zeroTo int
-}
-
-// clearZero empties the zero tag. A nil receiver (no jumbo buffer) is
-// a no-op.
-func (j *jumboBuf) clearZero() {
-	if j != nil {
-		j.zeroFrom, j.zeroTo = 0, 0
-	}
-}
+// bufCap is the one pooled buffer size: VXLAN headroom plus the
+// Ethernet/IPv4/TCP headers of a template-built frame (104 B), with
+// room to spare. Payloads live in the tail, so no datapath frame stores
+// more; larger stored frames fall back to plain allocation.
+const bufCap = 128
 
 // ErrBadFrame is returned by Frame for unparsable frames.
 var ErrBadFrame = errors.New("skb: unparsable frame")
 
 var (
-	skbPool   = sync.Pool{New: func() any { return new(SKB) }}
-	bufPool   = sync.Pool{New: func() any { return new([pooledBufCap]byte) }}
-	jumboPool = sync.Pool{New: func() any { return &jumboBuf{zeroTo: jumboBufCap} }}
+	skbPool = sync.Pool{New: func() any { return new(SKB) }}
+	bufPool = sync.Pool{New: func() any { return new([bufCap]byte) }}
 )
 
 func getSKB() *SKB {
@@ -292,25 +267,43 @@ func (s *SKB) Push(n int) bool {
 	return true
 }
 
-// SetData replaces the frame bytes and invalidates the parse caches.
-// Buffer ownership is retained (Free still recycles the pooled buffer),
-// but headroom is gone: the new bytes need not alias the old buffer.
-// The new bytes may have been written into the buffer (GRO appends in
-// place), so its zero tag is cleared.
+// SetData replaces the whole frame with the stored bytes b (no tail)
+// and invalidates the parse caches. Buffer ownership is retained (Free
+// still recycles the pooled buffer), but headroom is gone: the new
+// bytes need not alias the old buffer.
 func (s *SKB) SetData(b []byte) {
-	s.jumbo.clearZero()
 	s.Data = b
+	s.Tail = 0
 	s.back = nil
 	s.frameState, s.innerState = 0, 0
+}
+
+// GrowTail appends n zero bytes to the frame's unstored tail (a GRO
+// merge of a tail-only segment) and invalidates the parse caches.
+// Callers patch the length fields of the stored headers.
+func (s *SKB) GrowTail(n int) {
+	s.Tail += n
+	s.frameState, s.innerState = 0, 0
+}
+
+// Linear returns the frame's wire bytes contiguously: Data itself when
+// there is no tail, else a freshly allocated copy with the zeros — for
+// the rare consumers that need every byte (fragmentation, reassembly,
+// packet capture).
+func (s *SKB) Linear() []byte {
+	if s.Tail == 0 {
+		return s.Data
+	}
+	b := make([]byte, s.Len())
+	copy(b, s.Data)
+	return b
 }
 
 // DisownBuf releases the SKB's claim on its backing buffer without
 // recycling it — for frames whose payload bytes were retained by a
 // longer-lived structure (e.g. the IP reassembler).
 func (s *SKB) DisownBuf() {
-	s.jumbo.clearZero()
 	s.buf = nil
-	s.jumbo = nil
 	s.back = nil
 }
 
@@ -340,9 +333,6 @@ func (s *SKB) Free() {
 	}
 	if s.buf != nil {
 		bufPool.Put(s.buf)
-	}
-	if s.jumbo != nil {
-		jumboPool.Put(s.jumbo)
 	}
 	aud, gen := s.aud, s.gen
 	*s = SKB{}
@@ -392,8 +382,9 @@ func (h Handle) Free() bool {
 	return true
 }
 
-// Frame returns the parsed headers of the current Data, dissecting on
-// first use and serving the cached result on every later stage.
+// Frame returns the parsed headers of the current frame (Data plus
+// Tail), dissecting on first use and serving the cached result on every
+// later stage.
 func (s *SKB) Frame() (*proto.Frame, error) {
 	switch s.frameState {
 	case 1:
@@ -401,7 +392,7 @@ func (s *SKB) Frame() (*proto.Frame, error) {
 	case 2:
 		return nil, ErrBadFrame
 	}
-	f, err := proto.ParseFrame(s.Data)
+	f, err := proto.ParseFrameTail(s.Data, s.Tail)
 	if err != nil {
 		s.frameState = 2
 		return nil, ErrBadFrame
@@ -437,7 +428,7 @@ func (s *SKB) VXLANInner() (*proto.Frame, bool) {
 		s.innerState = 2
 		return nil, false
 	}
-	fi, err := proto.ParseFrame(f.Payload[proto.VXLANLen:])
+	fi, err := proto.ParseFrameTail(f.Payload[proto.VXLANLen:], f.Tail)
 	if err != nil {
 		s.innerState = 2
 		return nil, false
@@ -447,17 +438,17 @@ func (s *SKB) VXLANInner() (*proto.Frame, bool) {
 	return &s.inner, true
 }
 
-// DecapVXLAN strips the outer headers in place (vxlan_rcv): Data becomes
-// the inner frame and the already-parsed inner dissect becomes the
-// current frame cache, so downstream stages skip the re-parse. Reports
-// false when the frame is not a valid VXLAN packet.
+// DecapVXLAN strips the outer headers in place (vxlan_rcv): Data and
+// Tail become the inner frame's and the already-parsed inner dissect
+// becomes the current frame cache, so downstream stages skip the
+// re-parse. Reports false when the frame is not a valid VXLAN packet.
 func (s *SKB) DecapVXLAN() bool {
 	fi, ok := s.VXLANInner()
 	if !ok {
 		return false
 	}
 	f, _ := s.Frame()
-	s.Data = f.Payload[proto.VXLANLen:]
+	s.Data, s.Tail = f.Payload[proto.VXLANLen:], f.Tail
 	s.back = nil // headroom is gone; buffer ownership retained
 	s.frame = *fi
 	s.frameState = 1
@@ -489,8 +480,8 @@ func New(data []byte) *SKB {
 	return s
 }
 
-// Len returns the frame length in bytes.
-func (s *SKB) Len() int { return len(s.Data) }
+// Len returns the frame's wire length in bytes: stored bytes plus tail.
+func (s *SKB) Len() int { return len(s.Data) + s.Tail }
 
 // SetFlowHash computes and pins the flow hash from the current frame
 // bytes. Like the kernel, the hash is computed only once per packet; the

@@ -96,12 +96,16 @@ type Conn struct {
 	pendingMsgs int
 	continuous  bool
 	sendActive  bool
+	// sent is the cached c.onSent method value: a new data segment's
+	// transmit completion, allocated once per connection.
+	sent func(ok bool)
 
 	// Receiver state.
 	rcvNxt   uint64
 	oooSegs  map[uint64]*skb.SKB // seq → buffered out-of-order segment
 	ackEvery int                 // delayed-ACK segment counter
 	ackTimer sim.Timer
+	ackCore  int // core the pending delayed ACK leaves from
 	sock     *socket.Socket
 
 	// Diagnostics.
@@ -142,6 +146,7 @@ func Dial(cfg Config, appWork sim.Time) (*Conn, error) {
 		rto:      DefaultRTO,
 		oooSegs:  make(map[uint64]*skb.SKB),
 	}
+	c.sent = c.onSent
 	if cfg.SenderCtr != nil {
 		c.srcIP = cfg.SenderCtr.IP
 	} else {
@@ -234,14 +239,19 @@ func (c *Conn) trySend() {
 	if !c.continuous {
 		c.pendingMsgs--
 	}
-	c.transmit(seq, false, func() {
-		c.sendActive = false
-		c.trySend()
-	})
+	c.transmit(seq, false)
 }
 
-// transmit emits one data segment starting at seq.
-func (c *Conn) transmit(seq uint64, isRetrans bool, done func()) {
+// onSent continues the send loop once a new segment left the sender,
+// whether or not it made it onto the wire.
+func (c *Conn) onSent(bool) {
+	c.sendActive = false
+	c.trySend()
+}
+
+// transmit emits one data segment starting at seq. A new segment
+// continues the send loop when it completes; a retransmission does not.
+func (c *Conn) transmit(seq uint64, isRetrans bool) {
 	if isRetrans {
 		// Karn's rule: a retransmission invalidates any in-flight sample
 		// (the eventual ACK is ambiguous).
@@ -259,19 +269,18 @@ func (c *Conn) transmit(seq uint64, isRetrans bool, done func()) {
 		Window:  65535,
 	}
 	c.armRTO()
-	c.cfg.SenderHost.SendTCP(overlay.SendParams{
+	p := overlay.SendParams{
 		From:    c.cfg.SenderCtr,
 		DstIP:   c.dstIP,
 		Payload: c.cfg.MsgSize,
 		Core:    c.cfg.SenderCore,
 		FlowID:  c.cfg.FlowID,
 		Seq:     seq,
-		Done: func(ok bool) {
-			if done != nil {
-				done()
-			}
-		},
-	}, hdr)
+	}
+	if !isRetrans {
+		p.Done = c.sent
+	}
+	c.cfg.SenderHost.SendTCP(p, hdr)
 	if isRetrans {
 		c.Retransmits.Inc()
 	}

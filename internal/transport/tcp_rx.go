@@ -22,7 +22,7 @@ func (c *Conn) onData(core *cpu.Core, s *skb.SKB, f *proto.Frame, done func()) {
 	// (transfer volumes in the experiments stay below 2^32, so the low
 	// bits identify the segment uniquely).
 	seq := uint64(f.TCP.Seq)
-	segLen := uint64(len(f.Payload))
+	segLen := uint64(f.PayloadLen())
 
 	switch {
 	case seq == c.rcvNxt:
@@ -41,8 +41,8 @@ func (c *Conn) onData(core *cpu.Core, s *skb.SKB, f *proto.Frame, done func()) {
 			if err != nil {
 				break
 			}
-			c.rcvNxt += uint64(len(nf.Payload))
-			c.deliver(core, nxt, uint64(len(nf.Payload)))
+			c.rcvNxt += uint64(nf.PayloadLen())
+			c.deliver(core, nxt, uint64(nf.PayloadLen()))
 		}
 		c.ackEvery += segs
 		if c.ackEvery >= 2 {
@@ -85,12 +85,15 @@ func (c *Conn) armDelayedAck(core *cpu.Core) {
 	if c.ackTimer.Pending() {
 		return
 	}
-	coreID := core.ID()
-	c.ackTimer = c.e.After(delayedAckTimeout, func() {
-		if c.ackEvery > 0 && !c.closed {
-			c.sendAck(c.cfg.ReceiverHost.M.Core(coreID), false)
-		}
-	})
+	c.ackCore = core.ID()
+	c.ackTimer = c.e.AfterArg(delayedAckTimeout, connDelayedAck, c)
+}
+
+func connDelayedAck(v any) {
+	c := v.(*Conn)
+	if c.ackEvery > 0 && !c.closed {
+		c.sendAck(c.cfg.ReceiverHost.M.Core(c.ackCore), false)
+	}
 }
 
 // sendAck emits a cumulative ACK for rcvNxt from softirq context on the
@@ -149,7 +152,7 @@ func (c *Conn) onAck(core *cpu.Core, s *skb.SKB, f *proto.Frame, done func()) {
 				// NewReno partial ACK: the window held more than one
 				// hole; retransmit the next one immediately instead of
 				// waiting out an RTO.
-				c.transmit(c.sndUna, true, nil)
+				c.transmit(c.sndUna, true)
 			}
 		}
 		if !c.inFastRec {
@@ -179,7 +182,7 @@ func (c *Conn) onAck(core *cpu.Core, s *skb.SKB, f *proto.Frame, done func()) {
 			c.ssthresh = maxf(c.cwnd/2, 2)
 			c.cwnd = c.ssthresh
 			c.FastRetrans.Inc()
-			c.transmit(c.sndUna, true, nil)
+			c.transmit(c.sndUna, true)
 		}
 	}
 	// The pure-ACK processing cost was already charged by deliverL4's

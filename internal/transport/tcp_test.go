@@ -189,3 +189,24 @@ func TestTCPSlowLinkThroughputBounded(t *testing.T) {
 		t.Fatalf("goodput %.2f Gb/s implausibly low", gbps)
 	}
 }
+
+// TestSteadyStreamAllocs: a steady 4 KB overlay TCP stream, GRO on at
+// both levels, allocates nothing per segment on either side — the send
+// continuation and the TCP header ride in pooled transmit state, and
+// GRO keeps its runs by value.
+func TestSteadyStreamAllocs(t *testing.T) {
+	b := newBed(t, 100*devices.Gbps, 0)
+	c := dialOverlay(t, b, 4096)
+	c.StartContinuous()
+	b.e.RunUntil(5 * sim.Millisecond) // warm pools, flow caches and maps
+	before := c.SegsDelivered.Value()
+	const runs = 5
+	allocs := testing.AllocsPerRun(runs, func() { b.e.RunUntil(b.e.Now() + sim.Millisecond) })
+	segs := float64(c.SegsDelivered.Value()-before) / (runs + 1) // AllocsPerRun adds a warm-up run
+	if segs < 100 {
+		t.Fatalf("only %.0f segments per ms; the stream is not steady", segs)
+	}
+	if perSeg := allocs / segs; perSeg > 0.05 {
+		t.Fatalf("%.3f allocs per segment (%.0f per ms over %.0f segments)", perSeg, allocs, segs)
+	}
+}

@@ -118,7 +118,7 @@ func (tb *Testbed) StartReplay(cfg ReplayConfig) *Replay {
 			rp.Skipped++
 			continue
 		}
-		size := len(f.Payload)
+		size := f.PayloadLen()
 		if size < 1 {
 			size = 1
 		}
