@@ -25,7 +25,7 @@ func renderExperiment(t testing.TB, id string) string {
 // TestGoldenDeterminism asserts experiment output is byte-identical to
 // the goldens captured before the scheduler/pool/cache fast path landed.
 // This is the determinism contract of the PR: pooled events and SKBs,
-// the timing wheel, and the overlay flow cache must not change a single
+// the event scheduler, and the overlay flow cache must not change a single
 // simulated result. fig10 covers the steady UDP datapath; abl-chaos
 // covers fault injection, retries and RNG-heavy degraded paths.
 func TestGoldenDeterminism(t *testing.T) {

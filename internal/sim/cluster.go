@@ -10,8 +10,8 @@ import (
 
 // Cluster is a conservative parallel discrete-event engine (PDES,
 // DESIGN.md §6). The topology is partitioned into logical processes
-// (LPs) — one timing-wheel Engine per shard, each owning the complete
-// state of the hosts mapped to it — plus a coordinator-owned global
+// (LPs) — one Engine per shard, each owning the complete state of the
+// hosts mapped to it — plus a coordinator-owned global
 // engine for control-plane events (experiment samplers, fault windows,
 // audit sweeps).
 //
@@ -436,9 +436,8 @@ func (c *Cluster) drain() {
 const maxTime = Time(math.MaxInt64)
 
 // minNext fills c.nexts and returns the earliest pending LP event time.
-// Engine.NextAt is O(1) for engines untouched since their last scan
-// (the cached-hint fast path), so this sweep costs O(shards) loads, not
-// O(shards) wheel scans.
+// Engine.NextAt reads the heap root, so this sweep costs O(shards)
+// loads.
 func (c *Cluster) minNext() (Time, bool) {
 	t, ok := maxTime, false
 	for i, lp := range c.lps {

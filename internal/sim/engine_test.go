@@ -259,3 +259,265 @@ func TestPendingCount(t *testing.T) {
 		t.Fatalf("Pending = %d after cancel, want 1", e.Pending())
 	}
 }
+
+// TestNextAtExact: NextAt reports exactly the next firing time —
+// running to just before it fires nothing, running to it fires at
+// least one event, and repeating the probe-and-advance loop reaches
+// every event.
+func TestNextAtExact(t *testing.T) {
+	e := New(7)
+	rng := NewRand(99)
+	want := 0
+	for i := 0; i < 200; i++ {
+		// Delays from 0 to ~2^32 ns.
+		d := Time(rng.Intn(1 << uint(4*rng.Intn(9))))
+		e.After(d, func() { want-- })
+		want++
+	}
+	for {
+		next, ok := e.NextAt()
+		if !ok {
+			break
+		}
+		if next > e.Now() {
+			fired := e.Fired()
+			e.RunUntil(next - 1)
+			if e.Fired() != fired {
+				t.Fatalf("NextAt=%v overestimated: events fired before it", next)
+			}
+		}
+		fired := e.Fired()
+		e.RunUntil(next)
+		if e.Fired() == fired {
+			t.Fatalf("NextAt=%v underestimated: RunUntil(%v) fired nothing", next, next)
+		}
+	}
+	if want != 0 {
+		t.Fatalf("%d events unaccounted for", want)
+	}
+}
+
+// refEvent is the reference model's record of one scheduled event.
+type refEvent struct {
+	at, schedAt Time
+	seq         uint64
+	pending     bool
+	fired       bool
+}
+
+// refModel drives an Engine with random operations and checks every
+// fire against a plain list of pending events: the event that fires
+// must be the pending one with the least (at, schedAt, seq).
+type refModel struct {
+	t       *testing.T
+	e       *Engine
+	rng     *Rand
+	seq     uint64 // mirrors the engine's schedule counter
+	evs     []refEvent
+	pending []int // ids of pending events, unordered
+	timers  []refTimer
+}
+
+type refTimer struct {
+	tm Timer
+	id int
+}
+
+type refArg struct {
+	m  *refModel
+	id int
+}
+
+func refFire(v any) { a := v.(*refArg); a.m.fire(a.id) }
+
+// delay draws a firing delay: zero, a tie with a pending event's time,
+// or a short, medium, long or beyond-2^33 distance.
+func (m *refModel) delay() Time {
+	switch m.rng.Intn(6) {
+	case 0:
+		return 0
+	case 1:
+		if len(m.pending) > 0 {
+			return m.evs[m.pending[m.rng.Intn(len(m.pending))]].at - m.e.Now()
+		}
+		return 0
+	case 2:
+		return Time(m.rng.Intn(300))
+	case 3:
+		return Time(m.rng.Intn(1 << 20))
+	case 4:
+		return Time(m.rng.Intn(1 << 34))
+	default:
+		return 1<<33 + Time(m.rng.Intn(1<<33))
+	}
+}
+
+// schedule issues one At, AtArg or atPosted. atPosted gets a schedule
+// time at or before now, often one a pending event already carries.
+func (m *refModel) schedule() {
+	now := m.e.Now()
+	id := len(m.evs)
+	ev := refEvent{at: now + m.delay(), schedAt: now, seq: m.seq, pending: true}
+	m.seq++
+	switch m.rng.Intn(3) {
+	case 0:
+		tm := m.e.At(ev.at, func() { m.fire(id) })
+		m.timers = append(m.timers, refTimer{tm, id})
+	case 1:
+		tm := m.e.AtArg(ev.at, refFire, &refArg{m, id})
+		m.timers = append(m.timers, refTimer{tm, id})
+	default:
+		if len(m.pending) > 0 && m.rng.Intn(2) == 0 {
+			ev.schedAt = m.evs[m.pending[m.rng.Intn(len(m.pending))]].schedAt
+		} else if back := Time(m.rng.Intn(1000)); back <= now {
+			ev.schedAt = now - back
+		}
+		m.e.atPosted(ev.at, ev.schedAt, refFire, &refArg{m, id})
+	}
+	m.evs = append(m.evs, ev)
+	m.pending = append(m.pending, id)
+}
+
+// stop calls Stop on a random handle, which may be live, fired,
+// stopped or stale (its pooled event reused by a later schedule).
+func (m *refModel) stop() {
+	if len(m.timers) == 0 {
+		return
+	}
+	rt := m.timers[m.rng.Intn(len(m.timers))]
+	want := m.evs[rt.id].pending
+	if rt.tm.Pending() != want {
+		m.t.Fatalf("event %d: Timer.Pending() = %v, want %v", rt.id, !want, want)
+	}
+	if got := rt.tm.Stop(); got != want {
+		m.t.Fatalf("event %d: Stop() = %v, want %v", rt.id, got, want)
+	}
+	if want {
+		m.evs[rt.id].pending = false
+		m.drop(rt.id)
+	}
+}
+
+func (m *refModel) drop(id int) {
+	for i, p := range m.pending {
+		if p == id {
+			m.pending[i] = m.pending[len(m.pending)-1]
+			m.pending = m.pending[:len(m.pending)-1]
+			return
+		}
+	}
+}
+
+// first returns the pending event that must fire next, or -1.
+func (m *refModel) first() int {
+	best := -1
+	for _, id := range m.pending {
+		if best < 0 {
+			best = id
+			continue
+		}
+		a, b := &m.evs[id], &m.evs[best]
+		if a.at != b.at {
+			if a.at < b.at {
+				best = id
+			}
+		} else if a.schedAt != b.schedAt {
+			if a.schedAt < b.schedAt {
+				best = id
+			}
+		} else if a.seq < b.seq {
+			best = id
+		}
+	}
+	return best
+}
+
+func (m *refModel) fire(id int) {
+	ev := &m.evs[id]
+	switch {
+	case ev.fired:
+		m.t.Fatalf("event %d fired twice", id)
+	case !ev.pending:
+		m.t.Fatalf("stopped event %d fired", id)
+	}
+	if want := m.first(); want != id {
+		w := m.evs[want]
+		m.t.Fatalf("event %d (at %d, schedAt %d, seq %d) fired before event %d (at %d, schedAt %d, seq %d)",
+			id, ev.at, ev.schedAt, ev.seq, want, w.at, w.schedAt, w.seq)
+	}
+	if m.e.Now() != ev.at {
+		m.t.Fatalf("event %d fired at %v, scheduled for %v", id, m.e.Now(), ev.at)
+	}
+	ev.pending, ev.fired = false, true
+	m.drop(id)
+	// Callbacks schedule and stop too, some of it at the current time.
+	if m.rng.Intn(3) == 0 {
+		m.schedule()
+	}
+	if m.rng.Intn(8) == 0 {
+		m.stop()
+	}
+}
+
+// check compares Pending and NextAt with the model.
+func (m *refModel) check() {
+	if got := m.e.Pending(); got != len(m.pending) {
+		m.t.Fatalf("Pending() = %d, model has %d", got, len(m.pending))
+	}
+	next, ok := m.e.NextAt()
+	if first := m.first(); first < 0 {
+		if ok {
+			m.t.Fatalf("NextAt() = %v with nothing pending", next)
+		}
+	} else if want := m.evs[first].at; !ok || next != want {
+		m.t.Fatalf("NextAt() = %v, %v; want %v, true", next, ok, want)
+	}
+}
+
+// TestEngineMatchesReference drives the engine with seeded random
+// schedules (ties, back-dated schedule times, delays past 2^33), Stops
+// on live, fired and stale handles, and RunUntil at random deadlines,
+// and checks every fire and every Pending count against a reference
+// list ordered by (at, schedAt, seq).
+func TestEngineMatchesReference(t *testing.T) {
+	for seed := uint64(1); seed <= 20; seed++ {
+		m := &refModel{t: t, e: New(seed), rng: NewRand(seed)}
+		for step := 0; step < 4000; step++ {
+			switch r := m.rng.Intn(8); {
+			case r < 4:
+				m.schedule()
+			case r < 6:
+				m.stop()
+			default:
+				deadline := m.e.Now()
+				switch m.rng.Intn(4) {
+				case 0:
+					deadline += Time(m.rng.Intn(1 << 34))
+				case 1:
+					deadline += Time(m.rng.Intn(1 << 20))
+				default:
+					deadline += Time(m.rng.Intn(2000))
+				}
+				m.e.RunUntil(deadline)
+				if m.e.Now() != deadline {
+					t.Fatalf("RunUntil(%v) left the clock at %v", deadline, m.e.Now())
+				}
+				if f := m.first(); f >= 0 && m.evs[f].at <= deadline {
+					t.Fatalf("RunUntil(%v) left event %d due at %v", deadline, f, m.evs[f].at)
+				}
+			}
+			m.check()
+		}
+		m.e.Run()
+		m.check()
+		fired := 0
+		for _, ev := range m.evs {
+			if ev.fired {
+				fired++
+			}
+		}
+		if fired == 0 || fired == len(m.evs) {
+			t.Fatalf("seed %d: %d of %d events fired; want some fired and some stopped", seed, fired, len(m.evs))
+		}
+	}
+}
