@@ -87,7 +87,8 @@ type chaosOutcome struct {
 	// returned to >=80% of the pre-fault baseline (-1: not within the
 	// window; 0 for the control scenario).
 	RecoverMs float64
-	// Drops aggregates every loss class, including resolution drops.
+	// Drops counts every packet lost in the window: each host-datapath
+	// drop reason on both hosts, plus socket drops.
 	Drops uint64
 	// KVRetries counts the client's backoff retries of transiently
 	// failed KV lookups during the window.
@@ -130,9 +131,8 @@ func runChaosScenario(mode workload.Mode, opt Options, sc chaosScenario) chaosOu
 
 	res := workload.MeasureWindow(tb, []*socket.Socket{f.Sock}, opt.warmup(), opt.window())
 	out := chaosOutcome{
-		Res: res,
-		Drops: res.NICDrops + res.BacklogDrops + res.SocketDrops +
-			tb.Client.TxResolveDrops.Value(),
+		Res:       res,
+		Drops:     res.Drops.Total() + res.SocketDrops,
 		KVRetries: tb.Client.KVRetries.Value(),
 	}
 	if sc.key != "none" {

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"falcon/internal/overlay"
 	"falcon/internal/sim"
 	"falcon/internal/socket"
 	"falcon/internal/stats"
@@ -19,6 +20,9 @@ type Result struct {
 
 	// Drop accounting on the server side.
 	NICDrops, BacklogDrops, SocketDrops uint64
+	// Drops is every host-datapath drop in the window, per reason,
+	// summed over the testbed's hosts (socket drops are not in it).
+	Drops overlay.DropCensus
 
 	// CoreBusy is per-core utilization [0,1] on the server during the
 	// window; CoreSoftirq/CoreTask the context shares.
@@ -34,9 +38,11 @@ func (r Result) GbpsFor(payloadBytes int) float64 {
 }
 
 // MeasureWindow advances to `warmup`, resets all measurement state, runs
-// one window, and collects server-side metrics plus the union of the
-// given sockets' delivery stats.
+// one window, and collects server-side metrics, the window's drop
+// census over every host, and the union of the given sockets' delivery
+// stats.
 func MeasureWindow(tb *Testbed, socks []*socket.Socket, warmup, window sim.Time) Result {
+	res := Result{Window: window}
 	tb.Run(warmup)
 	tb.Server.ResetMeasurement()
 	tb.Client.ResetMeasurement()
@@ -46,9 +52,17 @@ func MeasureWindow(tb *Testbed, socks []*socket.Socket, warmup, window sim.Time)
 	for _, sk := range socks {
 		sk.ResetMeasurement()
 	}
+	// Link counters survive the reset, so the census is a delta.
+	var before overlay.DropCensus
+	for _, h := range tb.Hosts() {
+		before.Add(h)
+	}
 	tb.Run(warmup + window)
+	for _, h := range tb.Hosts() {
+		res.Drops.Add(h)
+	}
+	res.Drops = res.Drops.Sub(before)
 
-	res := Result{Window: window}
 	lat := stats.NewHistogram()
 	for _, sk := range socks {
 		res.Delivered += sk.Delivered.Value()
