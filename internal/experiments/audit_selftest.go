@@ -22,16 +22,15 @@ func init() {
 }
 
 // auditSelftestBed is the single-flow bed with auditing always on
-// (selftests are meaningless without it).
+// (selftests are meaningless without it) under the selftest's own
+// audit.Config.
 func auditSelftestBed(opt Options, cfg audit.Config) *workload.Testbed {
-	tb := workload.NewTestbed(workload.TestbedConfig{
-		Kernel: opt.Kernel, LinkRate: 100 * devices.Gbps, Cores: 12, Containers: 1,
+	opt.Audit = false
+	tb := opt.newBed(workload.TestbedConfig{
+		LinkRate: 100 * devices.Gbps, Cores: 12, Containers: 1,
 		RSSCores: []int{0}, RPSCores: []int{1},
-		GRO: true, InnerGRO: true, Seed: opt.seed(),
+		GRO: true, InnerGRO: true,
 	})
-	if opt.MaxEvents > 0 {
-		tb.E.SetEventBudget(opt.MaxEvents)
-	}
 	tb.EnableAudit(cfg)
 	return tb
 }

@@ -4,7 +4,6 @@ import (
 	"strconv"
 
 	"falcon/internal/apps"
-	"falcon/internal/audit"
 	falconcore "falcon/internal/core"
 	"falcon/internal/devices"
 	"falcon/internal/sim"
@@ -28,18 +27,11 @@ var (
 // beds need it because a transport.Conn shares state between its two
 // endpoints (transport.Dial rejects split endpoints).
 func newSingleFlowBed(mode workload.Mode, opt Options, link float64, colocate bool) *workload.Testbed {
-	tb := workload.NewTestbed(workload.TestbedConfig{
-		Kernel: opt.Kernel, LinkRate: link, Cores: 12, Containers: 1,
+	tb := opt.newBed(workload.TestbedConfig{
+		LinkRate: link, Cores: 12, Containers: 1,
 		RSSCores: []int{0}, RPSCores: []int{1},
-		GRO: true, InnerGRO: true, Seed: opt.seed(),
-		Shards: opt.Shards, Colocate: colocate, RxCache: opt.RxCache,
+		GRO: true, InnerGRO: true, Colocate: colocate,
 	})
-	if opt.MaxEvents > 0 {
-		tb.E.SetEventBudget(opt.MaxEvents)
-	}
-	if opt.Audit {
-		tb.EnableAudit(audit.Config{})
-	}
 	if mode == workload.ModeFalcon {
 		tb.EnableFalconOnServer(falconcore.DefaultConfig(singleFlowFalconCPUs))
 	}

@@ -9,9 +9,12 @@ import (
 	"fmt"
 	"sort"
 
+	"falcon/internal/audit"
+	"falcon/internal/overlay"
 	"falcon/internal/reconfig"
 	"falcon/internal/sim"
 	"falcon/internal/stats"
+	"falcon/internal/workload"
 )
 
 // Options tunes a run.
@@ -23,9 +26,8 @@ type Options struct {
 	Quick bool
 	// Seed for determinism (0 → 1).
 	Seed uint64
-	// Audit enables the runtime verification subsystem (internal/audit)
-	// on experiments that support it; an invariant breach aborts the run
-	// with an *audit.Abort panic.
+	// Audit enables the runtime verification subsystem (internal/audit);
+	// an invariant breach aborts the run with an *audit.Abort panic.
 	Audit bool
 	// MaxEvents, when positive, aborts the run with *sim.BudgetExceeded
 	// after firing that many engine events (a runaway-simulation guard).
@@ -35,7 +37,7 @@ type Options struct {
 	// simulated host; see DESIGN.md §6). Results are byte-identical to
 	// the serial engine for every value. Beds whose endpoints share
 	// cross-host state (TCP, closed-loop RPC apps) colocate their hosts
-	// on one shard; the memcached beds stay serial.
+	// on one shard.
 	Shards int
 	// Reconfig, when non-nil, replaces abl-reconfig's built-in
 	// generation schedule (the -reconfig flag loads one from JSON; host
@@ -47,14 +49,13 @@ type Options struct {
 	// twin target and cannot itself crash).
 	Crash *reconfig.CrashSchedule
 	// RxCache enables the ONCache-style RX decap fast path (per-core
-	// flow caches, internal/overlay/rxcache.go) on every host of the
-	// experiments built from the standard beds. Off by default: the
-	// cache is the abl-cache ablation's subject, and the goldens pin
-	// the uncached behavior.
+	// flow caches, internal/overlay/rxcache.go) on every host of every
+	// experiment. Off by default: the cache is the abl-cache ablation's
+	// subject, and the goldens pin the uncached behavior.
 	RxCache bool
 	// WindowStats, when non-nil, receives the PDES cluster's
 	// synchronization counters after the run (zeroed for serial runs).
-	// Supported by the fabric-based experiments (mesh8).
+	// Supported by mesh8.
 	WindowStats *sim.ClusterStats
 	// TailLatency, when non-nil, accumulates the run's end-to-end
 	// latency samples across its measured windows. Supported by fig10,
@@ -65,18 +66,35 @@ type Options struct {
 
 // ShardsAuto is the Options.Shards sentinel for "pick shard and worker
 // counts from the topology size and runtime.NumCPU()" (the CLI's
-// -shards auto). Each bed resolves it against its own host count via
-// sim.AutoShards at construction time.
+// -shards auto). Each bed resolves it against its own host count in
+// workload.NewEngine at construction time.
 const ShardsAuto = -1
 
-// resolveShards maps the auto sentinel to a concrete (shards, workers)
-// pair for a bed with the given host count. Explicit shard counts pass
-// through with workers 0 (GOMAXPROCS-derived).
-func resolveShards(shards, hosts int) (int, int) {
-	if shards == ShardsAuto {
-		return sim.AutoShards(hosts)
+// newBed builds a testbed of the given shape under the run options.
+// Every bed in the package is built here (mesh8 through the same
+// bedConfig/arm pair), so each run option reaches every simulated host.
+func (o Options) newBed(cfg workload.TestbedConfig) *workload.Testbed {
+	tb := workload.NewTestbed(o.bedConfig(cfg))
+	tb.Audit = o.arm(tb.E, tb.Hosts())
+	return tb
+}
+
+// bedConfig stamps the run-level fields onto a bed's shape.
+func (o Options) bedConfig(cfg workload.TestbedConfig) workload.TestbedConfig {
+	cfg.Kernel, cfg.Seed, cfg.Shards, cfg.RxCache = o.Kernel, o.seed(), o.Shards, o.RxCache
+	return cfg
+}
+
+// arm applies the event budget to e and, when Audit is set, attaches a
+// run auditor to hosts (nil otherwise). Call before any socket opens.
+func (o Options) arm(e sim.Sim, hosts []*overlay.Host) *audit.Auditor {
+	if o.MaxEvents > 0 {
+		e.SetEventBudget(o.MaxEvents)
 	}
-	return shards, 0
+	if !o.Audit {
+		return nil
+	}
+	return workload.AuditHosts(e, hosts, audit.Config{})
 }
 
 // captureWindowStats fills opt.WindowStats from a finished run's engine.

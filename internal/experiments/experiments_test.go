@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"falcon/internal/devices"
+	"falcon/internal/sim"
 	"falcon/internal/workload"
 )
 
@@ -55,6 +56,23 @@ func TestAllExperimentsProduceTables(t *testing.T) {
 					}
 				}
 			}
+		})
+	}
+}
+
+// TestRunOptionsReachEveryExperiment checks that the run options reach
+// every bed: each experiment must hit a tiny event budget. The budget
+// and the audit harness are applied by the same Options.newBed call, so
+// the budget stands in for both.
+func TestRunOptionsReachEveryExperiment(t *testing.T) {
+	for _, e := range All() {
+		t.Run(e.ID, func(t *testing.T) {
+			defer func() {
+				if _, ok := recover().(*sim.BudgetExceeded); !ok {
+					t.Fatal("ran without hitting Options.MaxEvents")
+				}
+			}()
+			e.Run(Options{Quick: true, MaxEvents: 1000})
 		})
 	}
 }

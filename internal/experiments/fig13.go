@@ -17,12 +17,13 @@ func init() {
 
 // multiFlowBed builds the dedicated-core multi-flow testbed: RSS on core
 // 0, RPS across cores 1–4, FALCON_CPUS on dedicated idle cores 10–15,
-// application threads on 5–9/16–19.
-func multiFlowBed(mode workload.Mode, opt Options, hostPlus bool) *workload.Testbed {
-	tb := workload.NewTestbed(workload.TestbedConfig{
-		Kernel: opt.Kernel, LinkRate: 100 * devices.Gbps, Cores: 20, Containers: 1,
+// application threads on 5–9/16–19. colocate puts both hosts on one
+// PDES shard, as TCP beds need (see newSingleFlowBed).
+func multiFlowBed(mode workload.Mode, opt Options, hostPlus, colocate bool) *workload.Testbed {
+	tb := opt.newBed(workload.TestbedConfig{
+		LinkRate: 100 * devices.Gbps, Cores: 20, Containers: 1,
 		RSSCores: []int{0}, RPSCores: []int{1, 2, 3, 4},
-		GRO: true, InnerGRO: true, Seed: opt.seed(),
+		GRO: true, InnerGRO: true, Colocate: colocate,
 	})
 	if mode == workload.ModeFalcon || hostPlus {
 		cfg := falconcore.DefaultConfig([]int{10, 11, 12, 13, 14, 15})
@@ -52,7 +53,7 @@ func fig13(opt Options) []*stats.Table {
 		Columns: []string{"flows", "Host", "Con", "Falcon", "Falcon/Con"},
 	}
 	udp := func(mode workload.Mode, flows int) float64 {
-		tb := multiFlowBed(mode, opt, false)
+		tb := multiFlowBed(mode, opt, false, false)
 		stop := opt.warmup() + opt.window() + 5*sim.Millisecond
 		var list []*workload.UDPFlow
 		for i := 0; i < flows; i++ {
@@ -83,7 +84,7 @@ func fig13(opt Options) []*stats.Table {
 		Columns: []string{"flows", "Host", "Host+", "Con", "Falcon", "Host+/Host", "Falcon/Host"},
 	}
 	tcp := func(mode workload.Mode, flows int, hostPlus bool) float64 {
-		tb := multiFlowBed(mode, opt, hostPlus)
+		tb := multiFlowBed(mode, opt, hostPlus, true)
 		var cs []*transport.Conn
 		for i := 0; i < flows; i++ {
 			cfg := newTCPConfig(tb, mode, 4096, i)

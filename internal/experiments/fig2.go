@@ -71,10 +71,10 @@ func fig2c(opt Options) []*stats.Table {
 	}
 	rpsCores := []int{1, 2, 3, 4}
 	run := func(mode workload.Mode, flows int) float64 {
-		tb := workload.NewTestbed(workload.TestbedConfig{
-			Kernel: opt.Kernel, LinkRate: 100 * devices.Gbps, Cores: 16, Containers: 1,
+		tb := opt.newBed(workload.TestbedConfig{
+			LinkRate: 100 * devices.Gbps, Cores: 16, Containers: 1,
 			RSSCores: []int{0}, RPSCores: rpsCores,
-			GRO: true, InnerGRO: true, Seed: opt.seed(),
+			GRO: true, InnerGRO: true,
 		})
 		stop := opt.warmup() + opt.window() + 5*sim.Millisecond
 		var socks []*socket.Socket

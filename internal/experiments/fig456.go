@@ -76,10 +76,10 @@ func fig5(opt Options) []*stats.Table {
 	tables = append(tables, t1)
 
 	multi := func(mode workload.Mode) workload.Result {
-		tb := workload.NewTestbed(workload.TestbedConfig{
-			Kernel: opt.Kernel, LinkRate: link, Cores: 16, Containers: 1,
+		tb := opt.newBed(workload.TestbedConfig{
+			LinkRate: link, Cores: 16, Containers: 1,
 			RSSCores: []int{0}, RPSCores: []int{1, 2, 3, 4, 5},
-			GRO: true, InnerGRO: true, Seed: opt.seed(),
+			GRO: true, InnerGRO: true,
 		})
 		until := opt.warmup() + opt.window() + 5*sim.Millisecond
 		var list []*workload.UDPFlow
@@ -154,10 +154,10 @@ func fig6(opt Options) []*stats.Table {
 		"Fig 6 (sockperf): inclusive poll-subtree shares (flamegraph view)"))
 
 	// memcached: mixed sizes and bidirectional traffic.
-	tbm := workload.NewTestbed(workload.TestbedConfig{
-		Kernel: opt.Kernel, LinkRate: link, Cores: 12, Containers: 1,
+	tbm := opt.newBed(workload.TestbedConfig{
+		LinkRate: link, Cores: 12, Containers: 1,
 		RSSCores: []int{0}, RPSCores: []int{1},
-		GRO: true, InnerGRO: true, Seed: opt.seed(),
+		GRO: true, InnerGRO: true, Colocate: true,
 	})
 	m := startMemcachedOn(tbm, 10, 100, 200*sim.Microsecond, until)
 	_ = m

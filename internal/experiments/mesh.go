@@ -9,6 +9,7 @@ import (
 	"falcon/internal/sim"
 	"falcon/internal/socket"
 	"falcon/internal/stats"
+	"falcon/internal/workload"
 )
 
 func init() {
@@ -64,36 +65,39 @@ func (n *meshNode) tick() {
 	n.host.E.After(gap, n.tick)
 }
 
-// buildMesh constructs the ring via the shared fabric builder: host i is
-// pinned to shard i%shards (serial engine when shards <= 1), and each
-// node's traffic-driver RNG forks at the host's construction point so
-// the draw order — and thus the golden output — matches the pre-fabric
-// wiring exactly.
+// buildMesh constructs the ring: host i is pinned to shard i (modulo
+// the cluster size; serial engine when shards <= 1), and each node's
+// traffic-driver RNG forks right after its host and container are
+// built — the fork order is part of the deterministic schedule.
 func buildMesh(opt Options) (sim.Sim, []*meshNode) {
-	nodes := make([]*meshNode, meshHosts)
-	fb := buildFabric(opt, fabricConfig{
-		Hosts: meshHosts,
-		// 8 cores: RSS on 0, RPS to 1, app on 2 — the single-flow layout
-		// scaled down to a rack node.
-		Cores: 8, RSSCores: []int{0}, RPSCores: []int{1},
-		GRO: true, InnerGRO: true,
-		LinkRate: meshLinkRate, LinkDelay: meshLinkDelay,
-		HostName: func(i int) string { return fmt.Sprintf("m%d", i) },
-		HostIP:   func(i int) proto.IPv4Addr { return proto.IP4(192, 168, 2, byte(10+i)) },
-		CtrIP:    func(i int) proto.IPv4Addr { return proto.IP4(10, 33, byte(i), 1) },
-		Links:    ringLinks(meshHosts),
-		OnHost: func(i int, h *overlay.Host, ctr *overlay.Container) {
-			nodes[i] = &meshNode{host: h, ctr: ctr, rng: h.Net.E.Rand().Fork()}
-		},
+	// 8 cores: RSS on 0, RPS to 1, app on 2 — the single-flow layout
+	// scaled down to a rack node.
+	cfg := opt.bedConfig(workload.TestbedConfig{
+		Cores: 8, RSSCores: []int{0}, RPSCores: []int{1}, GRO: true, InnerGRO: true,
 	})
-	for i, n := range nodes {
-		n.dst = nodes[(i+1)%meshHosts].ctr.IP
+	e := workload.NewEngine(cfg.Seed, cfg.Shards, meshHosts)
+	net := overlay.NewNetwork(e)
+	nodes := make([]*meshNode, meshHosts)
+	hosts := make([]*overlay.Host, meshHosts)
+	for i := range nodes {
+		name := fmt.Sprintf("m%d", i)
+		hosts[i] = cfg.AddHost(net, name, proto.IP4(192, 168, 2, byte(10+i)), i)
+		ctr := hosts[i].AddContainer(name+"-c1", proto.IP4(10, 33, byte(i), 1))
+		nodes[i] = &meshNode{host: hosts[i], ctr: ctr, rng: e.Rand().Fork()}
 	}
+	// Host i links to host (i+1)%n in index order: link construction
+	// forks RNGs too.
+	for i, n := range nodes {
+		next := nodes[(i+1)%meshHosts]
+		net.Connect(n.host, next.host, meshLinkRate, meshLinkDelay)
+		n.dst = next.ctr.IP
+	}
+	opt.arm(e, hosts)
 	// Open sockets after all links exist so rings and KV are complete.
 	for _, n := range nodes {
 		n.sock = n.host.OpenUDP(n.ctr.IP, meshPort, 2)
 	}
-	return fb.E, nodes
+	return e, nodes
 }
 
 // mesh8 runs the ring for one measured window and reports per-host

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"falcon/internal/audit"
 	falconcore "falcon/internal/core"
 	"falcon/internal/devices"
 	"falcon/internal/overlay"
@@ -85,18 +84,11 @@ func filterForMode(s *reconfig.Schedule, falcon bool) *reconfig.Schedule {
 // pair plus the spare migration target carrying the server container's
 // standby twin. Falcon mode attaches Falcon to both receive-side hosts.
 func newReconfigBed(mode workload.Mode, opt Options) *workload.Testbed {
-	tb := workload.NewTestbed(workload.TestbedConfig{
-		Kernel: opt.Kernel, LinkRate: 100 * devices.Gbps, Cores: 12, Containers: 1,
+	tb := opt.newBed(workload.TestbedConfig{
+		LinkRate: 100 * devices.Gbps, Cores: 12, Containers: 1,
 		RSSCores: []int{0}, RPSCores: []int{1},
-		GRO: true, InnerGRO: true, Seed: opt.seed(),
-		Shards: opt.Shards, Spare: true,
+		GRO: true, InnerGRO: true, Spare: true,
 	})
-	if opt.MaxEvents > 0 {
-		tb.E.SetEventBudget(opt.MaxEvents)
-	}
-	if opt.Audit {
-		tb.EnableAudit(audit.Config{})
-	}
 	if mode == workload.ModeFalcon {
 		tb.EnableFalconOnServer(falconcore.DefaultConfig(singleFlowFalconCPUs))
 		tb.Spare.EnableFalcon(falconcore.DefaultConfig(singleFlowFalconCPUs))

@@ -27,8 +27,10 @@ func renderShards(t testing.TB, id string, shards int, audit bool) string {
 // cross-shard traffic in both directions. abl-tail covers the
 // heavy-tailed open-loop generators: thousands of churning flows whose
 // send schedule must be identical however the datapath is sharded.
+// fig17 covers a colocated bed: the closed-loop web-serving app shares
+// state across hosts, so both hosts sit on one shard of the cluster.
 func TestShardInvariance(t *testing.T) {
-	for _, id := range []string{"fig10", "abl-chaos", "mesh8", "abl-tail"} {
+	for _, id := range []string{"fig10", "abl-chaos", "mesh8", "abl-tail", "fig17"} {
 		t.Run(id, func(t *testing.T) {
 			t.Parallel()
 			ref := renderShards(t, id, 0, false)
@@ -45,11 +47,9 @@ func TestShardInvariance(t *testing.T) {
 // TestShardInvarianceWithAudit repeats the invariance check with the
 // full audit harness attached: per-shard SKB ledgers, cross-shard
 // record handoffs at barriers, and coordinator-driven invariant sweeps
-// must not perturb a single simulated result either. (mesh8 builds its
-// topology directly on overlay.Network and has no audit harness, so the
-// audited check covers the testbed-based goldens.)
+// must not perturb a single simulated result either.
 func TestShardInvarianceWithAudit(t *testing.T) {
-	for _, id := range []string{"fig10", "abl-chaos", "abl-tail"} {
+	for _, id := range []string{"fig10", "abl-chaos", "abl-tail", "mesh8"} {
 		t.Run(id, func(t *testing.T) {
 			t.Parallel()
 			ref := renderShards(t, id, 0, true)

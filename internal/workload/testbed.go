@@ -58,9 +58,9 @@ type TestbedConfig struct {
 	// shard 1 (extra shards idle — the two-host testbed exposes at most
 	// two-way parallelism). 0 or 1 uses the plain serial engine. A
 	// negative value (the CLI's -shards auto sentinel) resolves shard
-	// and worker counts from the bed's host count and runtime.NumCPU()
-	// via sim.AutoShards — serial when the bed colocates its hosts on
-	// one shard or the machine has a single CPU.
+	// and worker counts from the bed's host count through NewEngine —
+	// serial when the bed colocates its hosts on one shard or the
+	// machine has a single CPU.
 	Shards int
 	// Colocate forces both hosts onto shard 0 even when Shards > 1 —
 	// required by workloads whose endpoints share state across hosts
@@ -114,66 +114,66 @@ type Testbed struct {
 	Audit *audit.Auditor
 }
 
+// NewEngine returns the engine for a bed of the given host count: the
+// serial engine when shards <= 1, otherwise a PDES cluster with that
+// many shards. A negative shards value (the CLI's -shards auto) sizes
+// the cluster from hosts and runtime.NumCPU() via sim.AutoShards.
+func NewEngine(seed uint64, shards, hosts int) sim.Sim {
+	workers := 0
+	if shards < 0 {
+		shards, workers = sim.AutoShards(hosts)
+	}
+	if shards <= 1 {
+		return sim.New(seed)
+	}
+	return sim.NewCluster(seed, shards, workers)
+}
+
+// AddHost adds one host of the config's shape (cores, steering, GRO,
+// kernel) to n on the given shard, with the RX cache on when the config
+// asks for it. It applies no defaults.
+func (c TestbedConfig) AddHost(n *overlay.Network, name string, ip proto.IPv4Addr, shard int) *overlay.Host {
+	h := n.AddHost(overlay.HostConfig{
+		Name: name, IP: ip, Cores: c.Cores,
+		RSSCores: c.RSSCores, RPSCores: c.RPSCores,
+		GRO: c.GRO, InnerGRO: c.InnerGRO, Kernel: c.Kernel,
+		Shard: shard,
+	})
+	if c.RxCache {
+		h.EnableRxCache()
+	}
+	return h
+}
+
 // NewTestbed builds the standard testbed.
 func NewTestbed(cfg TestbedConfig) *Testbed {
 	cfg = cfg.withDefaults()
-	shards, workers := cfg.Shards, 0
-	if shards < 0 {
-		// Auto: size from the bed's own parallelism. A colocated bed puts
-		// every host on shard 0, so sharding cannot help it — resolve
-		// against one host, which degrades to the serial engine.
-		hosts := 2
-		if cfg.Spare {
-			hosts = 3
-		}
-		if cfg.Colocate {
-			hosts = 1
-		}
-		shards, workers = sim.AutoShards(hosts)
-	}
-	var e sim.Sim
-	if shards > 1 {
-		e = sim.NewCluster(cfg.Seed, shards, workers)
-	} else {
-		e = sim.New(cfg.Seed)
-	}
-	n := overlay.NewNetwork(e)
-	mk := func(name string, ip proto.IPv4Addr, shard int) *overlay.Host {
-		h := n.AddHost(overlay.HostConfig{
-			Name: name, IP: ip, Cores: cfg.Cores,
-			RSSCores: cfg.RSSCores, RPSCores: cfg.RPSCores,
-			GRO: cfg.GRO, InnerGRO: cfg.InnerGRO, Kernel: cfg.Kernel,
-			Shard: shard,
-		})
-		if cfg.RxCache {
-			h.EnableRxCache()
-		}
-		return h
-	}
-	serverShard := 1
-	if cfg.Colocate {
-		serverShard = 0
-	}
-	tb := &Testbed{E: e, Net: n, Client: mk("client", ClientIP, 0), Server: mk("server", ServerIP, serverShard)}
-	n.Connect(tb.Client, tb.Server, cfg.LinkRate, sim.Microsecond)
-	if cfg.MTU > 0 {
-		tb.Client.LinkTo(ServerIP).MTU = cfg.MTU
-		tb.Server.LinkTo(ClientIP).MTU = cfg.MTU
-	}
+	// A colocated bed puts every host on shard 0, so sharding cannot
+	// help it: auto resolves against one host, i.e. the serial engine.
+	hosts, serverShard, spareShard := 2, 1, 2
 	if cfg.Spare {
-		spareShard := 2
-		if cfg.Colocate {
-			spareShard = 0
-		}
-		tb.Spare = mk("spare", SpareIP, spareShard)
-		n.Connect(tb.Client, tb.Spare, cfg.LinkRate, sim.Microsecond)
-		n.Connect(tb.Server, tb.Spare, cfg.LinkRate, sim.Microsecond)
+		hosts = 3
+	}
+	if cfg.Colocate {
+		hosts, serverShard, spareShard = 1, 0, 0
+	}
+	e := NewEngine(cfg.Seed, cfg.Shards, hosts)
+	n := overlay.NewNetwork(e)
+	connect := func(a, b *overlay.Host) {
+		n.Connect(a, b, cfg.LinkRate, sim.Microsecond)
 		if cfg.MTU > 0 {
-			tb.Client.LinkTo(SpareIP).MTU = cfg.MTU
-			tb.Spare.LinkTo(ClientIP).MTU = cfg.MTU
-			tb.Server.LinkTo(SpareIP).MTU = cfg.MTU
-			tb.Spare.LinkTo(ServerIP).MTU = cfg.MTU
+			a.LinkTo(b.IP).MTU = cfg.MTU
+			b.LinkTo(a.IP).MTU = cfg.MTU
 		}
+	}
+	tb := &Testbed{E: e, Net: n,
+		Client: cfg.AddHost(n, "client", ClientIP, 0),
+		Server: cfg.AddHost(n, "server", ServerIP, serverShard)}
+	connect(tb.Client, tb.Server)
+	if cfg.Spare {
+		tb.Spare = cfg.AddHost(n, "spare", SpareIP, spareShard)
+		connect(tb.Client, tb.Spare)
+		connect(tb.Server, tb.Spare)
 	}
 	for i := 1; i <= cfg.Containers; i++ {
 		tb.ClientCtrs = append(tb.ClientCtrs,
