@@ -160,7 +160,7 @@ func TestRunChainExecutesAllSteps(t *testing.T) {
 		{Fn: costmodel.FnUDPRcv},
 		{Fn: costmodel.FnSocketDeliver},
 	}
-	RunChain(c, stats.CtxSoftIRQ, steps, func() { doneRan = true })
+	st.RunChain(c, stats.CtxSoftIRQ, steps, func() { doneRan = true })
 	e.Run()
 	if !doneRan {
 		t.Fatal("chain completion not called")
@@ -176,13 +176,17 @@ func TestRunChainExecutesAllSteps(t *testing.T) {
 	}
 }
 
-func TestRunChainEmpty(t *testing.T) {
-	e, st := newStack(1)
-	ran := false
-	RunChain(st.M.Core(0), stats.CtxSoftIRQ, nil, func() { ran = true })
-	e.Run()
-	if !ran {
-		t.Fatal("empty chain did not call then")
+func TestRunChainRejectsStepCount(t *testing.T) {
+	_, st := newStack(1)
+	for _, n := range []int{0, 5} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("RunChain with %d steps did not panic", n)
+				}
+			}()
+			st.RunChain(st.M.Core(0), stats.CtxSoftIRQ, make([]Step, n), nil)
+		}()
 	}
 }
 

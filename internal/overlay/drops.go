@@ -59,7 +59,7 @@ var dropTable = [NumDropReasons]dropRow{
 	DropResolve: {name: "resolve", side: SideTx, host: func(h *Host) *stats.Counter { return &h.TxResolveDrops }},
 	DropBuild:   {name: "build", side: SideTx, host: func(h *Host) *stats.Counter { return &h.TxBuildDrops }},
 	DropTxCrash: {name: "tx-crash", side: SideTx, host: func(h *Host) *stats.Counter { return &h.TxCrashDrops }},
-	DropTxEmit: {name: "tx-emit", side: SideTx, stages: []string{"drop:tx-route", "drop:tx-frag", "drop:tx-frame"},
+	DropTxEmit: {name: "tx-emit", side: SideTx, stages: []string{"drop:tx-route", "drop:tx-frag"},
 		host: func(h *Host) *stats.Counter { return &h.TxEmitDrops }},
 	DropNIC: {name: "nic", side: SideRx, stages: []string{"drop:nic-ring", "drop:nic-frame"},
 		host: func(h *Host) *stats.Counter { return &h.NIC.Drops }},

@@ -241,8 +241,8 @@ func TestCrashPartitionStaleServeAndReconcile(t *testing.T) {
 }
 
 // nullFault is a LookupFault that neither delays nor fails: it forces
-// the degraded per-packet resolution path (where the negative cache
-// lives) without perturbing timing.
+// per-packet resolution (where the negative cache lives) without
+// perturbing timing.
 type nullFault struct{}
 
 func (nullFault) Lookup(_, _ proto.IPv4Addr) (sim.Time, bool) { return 0, false }
@@ -300,5 +300,72 @@ func TestNegCachePurgedByRemap(t *testing.T) {
 	}
 	if got := b.client.NegCacheHits.Value(); got != 1 {
 		t.Fatalf("negative-cache hits after remap = %d, want 1 (no further hits)", got)
+	}
+}
+
+// delayFault is a LookupFault that delays every lookup by 5 µs and never
+// fails: resolution completes asynchronously, after stackDone returned.
+type delayFault struct{}
+
+func (delayFault) Lookup(_, _ proto.IPv4Addr) (sim.Time, bool) { return 5 * sim.Microsecond, false }
+
+// doneRecorder counts Done calls and remembers their outcomes.
+type doneRecorder struct{ oks []bool }
+
+func (d *doneRecorder) done(ok bool) { d.oks = append(d.oks, ok) }
+
+// TestPartitionHealMidRetryDeliversOnce: a partitioned sender with a cold
+// cache retries on the 20/40/80 µs backoff; the partition heals during
+// the second backoff, and the next attempt resolves for real. The
+// message is delivered exactly once, Done runs exactly once with true,
+// and the one-off entry it was built from never enters the flow cache.
+func TestPartitionHealMidRetryDeliversOnce(t *testing.T) {
+	b := newBed(t, "", 100*devices.Gbps)
+	sock := b.server.OpenUDP(srvCtrIP, 5001, 2)
+	b.n.KV.SetPartitioned(b.client.IP, true)
+	var rec doneRecorder
+	b.e.At(10*sim.Microsecond, func() { sendOne(b, 1, rec.done) })
+	b.e.At(50*sim.Microsecond, func() {
+		b.n.KV.SetPartitioned(b.client.IP, false)
+		b.client.ReconcileKV()
+	})
+	b.e.RunUntil(sim.Millisecond)
+	if got := b.client.KVRetries.Value(); got != 2 {
+		t.Fatalf("retries = %d, want 2 (heal inside the 40 µs backoff)", got)
+	}
+	if len(rec.oks) != 1 || !rec.oks[0] {
+		t.Fatalf("Done calls = %v, want exactly one true", rec.oks)
+	}
+	if got := sock.Delivered.Value(); got != 1 {
+		t.Fatalf("delivered %d, want 1", got)
+	}
+	if got := b.client.TxPending(); got != 0 {
+		t.Fatalf("%d sends still pending", got)
+	}
+	if got := b.client.txEntries(); got != 0 {
+		t.Fatalf("flow cache has %d entries, want 0 (one-off entry cached)", got)
+	}
+}
+
+// TestKVFaultUnresolvableReportsOnce: inside a KV fault window a send to
+// an IP the store does not know resolves asynchronously, fails, and
+// calls Done exactly once with false.
+func TestKVFaultUnresolvableReportsOnce(t *testing.T) {
+	b := newBed(t, "", 100*devices.Gbps)
+	b.n.KV.SetFault(delayFault{})
+	var rec doneRecorder
+	b.e.At(0, func() {
+		b.client.SendUDP(SendParams{From: b.cliCtr, SrcPort: 7000, DstIP: proto.IP4(10, 32, 0, 99),
+			DstPort: 5001, Payload: 64, Core: 2, Done: rec.done})
+	})
+	b.e.RunUntil(sim.Millisecond)
+	if len(rec.oks) != 1 || rec.oks[0] {
+		t.Fatalf("Done calls = %v, want exactly one false", rec.oks)
+	}
+	if got := b.client.TxResolveDrops.Value(); got != 1 {
+		t.Fatalf("resolve drops = %d, want 1", got)
+	}
+	if got := b.client.TxPending(); got != 0 {
+		t.Fatalf("%d sends still pending", got)
 	}
 }

@@ -1,8 +1,6 @@
 package overlay
 
 import (
-	"fmt"
-
 	"falcon/internal/costmodel"
 	"falcon/internal/cpu"
 	"falcon/internal/ipfrag"
@@ -34,13 +32,6 @@ type SendParams struct {
 	FromSoftirq bool
 }
 
-// report calls Done, when set, with the transmit outcome.
-func (p *SendParams) report(ok bool) {
-	if p.Done != nil {
-		p.Done(ok)
-	}
-}
-
 // SendUDP transmits one UDP message through the full transmit path in
 // task context: container stack → veth → bridge → vxlan_xmit
 // encapsulation → pNIC, or the plain host stack for host networking.
@@ -64,20 +55,22 @@ type txFlowKey struct {
 	payload          int
 }
 
-// txFlowEntry is the cached result of resolving and building one flow's
-// frames — the simulation analogue of an ONCache/flow-table entry that
-// amortizes the per-packet vxlan_xmit work (FIB/neighbor lookup + header
-// construction) across a flow. The inner template is the frame's headers
-// (IP ID 0, zero TCP header) plus its payload length: each packet copies
-// the headers into a small pooled buffer, carries the payload as the
-// skb's unstored zero tail (skb.Arena.NewTxFrom) and patches only the
-// ID (+ TCP header), which produces frames identical on the wire to a
-// from-scratch build. Entries revalidate against the KV store's
-// version AND the network's configuration generation, so both endpoint
-// moves and reconfigurations that never touch the KV (steering flips,
-// topology membership) invalidate them; the cache is bypassed entirely
-// while a KV fault is installed (the degraded path draws RNG per
-// lookup; skipping those draws would change deterministic schedules).
+// txFlowEntry is one resolved flow's frame templates — the simulation
+// analogue of an ONCache/flow-table entry that amortizes the per-packet
+// vxlan_xmit work (FIB/neighbor lookup + header construction) across a
+// flow. The inner template is the frame's headers (IP ID 0, zero TCP
+// header) plus its payload length: each packet copies the headers into
+// a small pooled buffer, carries the payload as the skb's unstored zero
+// tail (skb.Arena.NewTxFrom) and patches only the ID (+ TCP header),
+// which produces frames identical on the wire to a from-scratch build.
+// Every frame is built from an entry. Cached entries revalidate against
+// the KV store's version AND the network's configuration generation, so
+// both endpoint moves and reconfigurations that never touch the KV
+// (steering flips, topology membership) invalidate them. Sends resolved
+// per packet — inside a KV fault window, or after a partition heals
+// mid-retry — build a one-off entry that is never cached: reading the
+// cache would skip the fault's RNG draws and writing it would let a
+// fault-window resolution outlive the window.
 type txFlowEntry struct {
 	kvVersion uint64
 	gen       uint64
@@ -93,13 +86,12 @@ type txFlowEntry struct {
 	outer     []byte // outer VXLAN header template (cross-host only)
 }
 
-// txOp carries one fast-path transmit through its asynchronous charge
-// chain. The continuations the chain needs (after the stack steps, after
-// vxlan_xmit, after the NIC doorbell) are method values cached at pool
-// construction, so a steady-state send costs zero closure allocations —
-// the op itself is recycled once the frame is on the wire. The degraded
-// path (sendSlow) keeps its closures: it only runs inside KV fault
-// windows.
+// txOp carries one transmit through its asynchronous charge chain,
+// including any per-packet resolution it waits on. The continuations
+// the chain needs (after the stack steps, after vxlan_xmit, after the
+// NIC doorbell) are method values cached at pool construction, so a
+// steady-state send costs zero closure allocations — the op itself is
+// recycled once the frame is on the wire or dropped.
 type txOp struct {
 	h       *Host
 	core    *cpu.Core
@@ -156,7 +148,9 @@ func (h *Host) sendL4(p SendParams, ipProto uint8, tcp proto.TCPHdr) {
 		// The host is dead: the (schedule-driven) send is counted and
 		// destroyed without charging work — dead silicon runs nothing.
 		h.TxCrashDrops.Inc()
-		p.report(false)
+		if p.Done != nil {
+			p.Done(false)
+		}
 		return
 	}
 	h.txPending++
@@ -182,7 +176,8 @@ func (h *Host) sendL4(p SendParams, ipProto uint8, tcp proto.TCPHdr) {
 }
 
 // stackDone runs once the stack/veth/bridge costs are charged and picks
-// the healthy or degraded resolution path.
+// how the destination resolves: per packet inside a KV fault window,
+// through the partition-tolerant path, or through the flow cache.
 func (op *txOp) stackDone() {
 	h := op.h
 	if h.crashed {
@@ -194,32 +189,37 @@ func (op *txOp) stackDone() {
 		return
 	}
 	if h.Net.KV.Fault() != nil {
-		core, ctx, p, ipProto, tcp, start := op.core, op.ctx, op.p, op.ipProto, op.tcp, op.start
-		op.p.Done = nil // sendSlow owns completion now
-		op.finish(false)
-		h.sendSlow(core, ctx, p, ipProto, tcp, start)
+		h.resolve(op.p, op.resolved)
 		return
 	}
 	if h.Net.KV.Partitioned(h.IP) {
 		h.sendPartitioned(op)
 		return
 	}
-	h.sendFast(op)
+	op.transmit(h.txFlow(op.p, op.flowKey()))
 }
 
-// sendFast is the healthy-path transmit: flow-cached resolution and
-// template-built frames in a pooled skb with VXLAN headroom.
-func (h *Host) sendFast(op *txOp) {
-	e, resolved := h.txFlow(op.p, op.flowKey())
-	if !resolved {
-		h.TxResolveDrops.Inc()
-		h.txPending--
-		op.finish(false)
-		return
+// resolved transmits through a one-off entry once per-packet resolution
+// reports; the entry is never cached.
+func (op *txOp) resolved(info EndpointInfo, ok bool) {
+	var e *txFlowEntry
+	if ok {
+		e = op.h.buildEntry(op.p, op.flowKey(), info)
 	}
+	op.transmit(e, ok)
+}
+
+// transmit drives e out, or counts the drop: resolved false means the
+// destination could not be resolved, a nil entry with resolved true
+// that the flow is unbuildable (payload exceeds the frame limit).
+func (op *txOp) transmit(e *txFlowEntry, resolved bool) {
+	h := op.h
 	if e == nil {
-		// Resolved but unbuildable (payload exceeds the frame limit).
-		h.TxBuildDrops.Inc()
+		if resolved {
+			h.TxBuildDrops.Inc()
+		} else {
+			h.TxResolveDrops.Inc()
+		}
 		h.txPending--
 		op.finish(false)
 		return
@@ -227,9 +227,8 @@ func (h *Host) sendFast(op *txOp) {
 	h.transmitEntry(op, e)
 }
 
-// transmitEntry builds the frame from a resolved flow-cache entry and
-// drives it out — the back half of sendFast, shared with the
-// partition-tolerant path (which resolves through stale entries).
+// transmitEntry builds the frame from a resolved flow entry in a pooled
+// skb with VXLAN headroom and drives it out.
 func (h *Host) transmitEntry(op *txOp, e *txFlowEntry) {
 	core, ctx, p := op.core, op.ctx, op.p
 	headroom := 0
@@ -356,44 +355,39 @@ func (op *txOp) flowKey() txFlowKey {
 
 // txFlow returns the flow-cache entry for p under key, building and
 // caching it on first use or after a KV mutation. resolved is false
-// when the destination cannot be resolved (the caller counts the drop);
-// a nil entry with resolved true means the flow is resolvable but
-// unbuildable.
+// when the destination cannot be resolved; a nil entry with resolved
+// true means the flow is resolvable but unbuildable.
 func (h *Host) txFlow(p SendParams, key txFlowKey) (e *txFlowEntry, resolved bool) {
-	ver, gen := h.Net.KV.Version(), h.Net.Generation()
-	if e, ok := h.txLookup(p.Core, key); ok && e.kvVersion == ver && e.gen == gen {
+	if e, ok := h.txLookup(p.Core, key); ok && e.kvVersion == h.Net.KV.Version() && e.gen == h.Net.Generation() {
 		return e, true
 	}
-	e = &txFlowEntry{kvVersion: ver, gen: gen, builtAt: h.E.Now(),
-		epoch: h.cacheEpoch, born: h.purgeClock}
-	if p.From == nil {
-		peer := h.Net.hostByIP(p.DstIP)
-		if peer == nil {
-			return nil, false
-		}
-		e.info = EndpointInfo{HostIP: p.DstIP, HostMAC: peer.MAC}
-		e.hostNet = true
-	} else {
-		info, err := h.Net.KV.Get(p.DstIP)
-		if err != nil {
-			return nil, false
-		}
-		e.info = info
-		e.sameHost = info.HostIP == h.IP
+	info, ok := h.lookup(p)
+	if !ok {
+		return nil, false
 	}
+	if e = h.buildEntry(p, key, info); e != nil {
+		h.txCache(p.Core)[key] = e
+	}
+	return e, true
+}
+
+// buildEntry builds the frame templates for p's flow under key toward an
+// already-resolved destination. It returns nil when the payload exceeds
+// the frame limit. For container senders the inner MACs come from the
+// KV entry; for host networking from the peer host.
+func (h *Host) buildEntry(p SendParams, key txFlowKey, info EndpointInfo) *txFlowEntry {
 	limit := MaxHostPayload
+	srcMAC, srcIP, dstMAC := h.MAC, h.IP, info.HostMAC
 	if p.From != nil {
 		limit = MaxOverlayPayload
+		srcMAC, srcIP, dstMAC = p.From.MAC, p.From.IP, info.ContainerMAC
 	}
 	if p.Payload > limit {
-		return nil, true
+		return nil
 	}
-	srcMAC, srcIP := h.MAC, h.IP
-	dstMAC := e.info.HostMAC
-	if p.From != nil {
-		srcMAC, srcIP = p.From.MAC, p.From.IP
-		dstMAC = e.info.ContainerMAC
-	}
+	e := &txFlowEntry{kvVersion: h.Net.KV.Version(), gen: h.Net.Generation(), builtAt: h.E.Now(),
+		epoch: h.cacheEpoch, born: h.purgeClock, info: info,
+		hostNet: p.From == nil, sameHost: p.From != nil && info.HostIP == h.IP}
 	if key.ipProto == proto.ProtoTCP {
 		e.inner = proto.TCPHeaders(srcMAC, dstMAC, srcIP, p.DstIP, proto.TCPHdr{}, 0, key.payload)
 	} else {
@@ -405,74 +399,10 @@ func (h *Host) txFlow(p SendParams, key txFlowKey) (e *txFlowEntry, resolved boo
 	if !e.sameHost && !e.hostNet {
 		entropy := uint16(49152 + (e.hash % 16384))
 		e.outer = make([]byte, proto.OverlayOverhead)
-		proto.PutEncapHeaders(e.outer, h.MAC, e.info.HostMAC, h.IP, e.info.HostIP,
+		proto.PutEncapHeaders(e.outer, h.MAC, info.HostMAC, h.IP, info.HostIP,
 			entropy, h.Net.VNI, 0, len(e.inner)+e.tail)
 	}
-	h.txCache(p.Core)[key] = e
-	return e, true
-}
-
-// sendSlow is the degraded-path transmit, taken while a KV lookup fault
-// is installed: per-packet resolution with backoff retries and negative
-// caching, frames built from scratch. It deliberately bypasses the flow
-// cache in both directions — reads would skip the fault's RNG draws and
-// writes would survive past the fault window — so chaos schedules stay
-// byte-identical to the pre-cache simulator.
-func (h *Host) sendSlow(core *cpu.Core, ctx stats.CPUContext, p SendParams, ipProto uint8, tcp proto.TCPHdr, start sim.Time) {
-	h.resolve(p, func(info EndpointInfo, ok bool) {
-		if !ok {
-			h.TxResolveDrops.Inc()
-			h.txPending--
-			p.report(false)
-			return
-		}
-		inner, err := h.buildInner(p, ipProto, &tcp, info)
-		if err != nil {
-			h.TxBuildDrops.Inc()
-			h.txPending--
-			p.report(false)
-			return
-		}
-		s := skb.New(inner)
-		if h.Audit != nil {
-			s.Audit(h.Audit, "tx:slow")
-		}
-		h.txPending--
-		s.FlowID = p.FlowID
-		s.Seq = p.Seq
-		s.SendTime = start
-		if err := s.SetFlowHash(); err != nil {
-			h.TxEmitDrops.Inc()
-			s.Stage("drop:tx-frame")
-			s.Free()
-			p.report(false)
-			return
-		}
-		if p.From == nil {
-			// Host networking: straight out the NIC.
-			core.Exec(ctx, costmodel.FnTxNIC, 0, func() {
-				p.report(h.sendWire(core, ctx, s, p.DstIP))
-			})
-			return
-		}
-		if info.HostIP == h.IP {
-			// Same-host container: the bridge forwards locally; the frame
-			// enters the destination's veth backlog without encapsulation.
-			s.WireTime = h.E.Now()
-			p.report(h.Rx.InjectLocal(nil, p.Core, s))
-			return
-		}
-		// Cross-host: encapsulate and transmit.
-		core.Exec(ctx, costmodel.FnVXLANXmit, len(inner), func() {
-			entropy := uint16(49152 + (s.Hash % 16384))
-			outer := proto.Encapsulate(inner, h.MAC, info.HostMAC, h.IP, info.HostIP,
-				entropy, h.Net.VNI, h.nextIPID())
-			s.SetData(outer)
-			core.Exec(ctx, costmodel.FnTxNIC, 0, func() {
-				p.report(h.sendWire(core, ctx, s, info.HostIP))
-			})
-		})
-	})
+	return e
 }
 
 // KV-resolution resilience parameters: transiently failed lookups retry
@@ -500,21 +430,20 @@ const (
 // host is marked partitioned from the KV control plane. Fresh cache
 // entries transmit normally; version-expired entries within
 // PartitionStaleBound serve stale; misses cannot consult the KV and
-// retry with the same deterministic backoff schedule as the degraded
-// path, resolving for real only if the partition heals mid-retry. Cold
-// path — closures are acceptable here, as in sendSlow.
+// retry with the same deterministic backoff schedule as resolve,
+// resolving for real only if the partition heals mid-retry. Cold path —
+// closures are acceptable here, as in resolve.
 func (h *Host) sendPartitioned(op *txOp) {
 	p := op.p
+	key := op.flowKey()
 	if p.From == nil {
 		// Host networking resolves through the local link map, not the
 		// KV: the partition does not apply.
-		h.sendFast(op)
+		op.transmit(h.txFlow(p, key))
 		return
 	}
-	key := op.flowKey()
-	ver, gen := h.Net.KV.Version(), h.Net.Generation()
 	if e, ok := h.txLookup(p.Core, key); ok {
-		fresh := e.kvVersion == ver && e.gen == gen
+		fresh := e.kvVersion == h.Net.KV.Version() && e.gen == h.Net.Generation()
 		if fresh || h.E.Now()-e.builtAt <= PartitionStaleBound {
 			if !fresh {
 				h.StaleServes.Inc()
@@ -524,18 +453,9 @@ func (h *Host) sendPartitioned(op *txOp) {
 		}
 		delete(h.flowCaches[p.Core], key)
 	}
-	core, ctx, ipProto, tcp, start := op.core, op.ctx, op.ipProto, op.tcp, op.start
-	op.p.Done = nil // the retry loop owns completion now
-	op.finish(false)
-	if ne, ok := h.negCache[p.DstIP]; ok {
-		if ne.epoch == h.cacheEpoch && h.E.Now() < ne.until && ne.kvVersion == ver {
-			h.NegCacheHits.Inc()
-			h.TxResolveDrops.Inc()
-			h.txPending--
-			p.report(false)
-			return
-		}
-		delete(h.negCache, p.DstIP)
+	if h.negCached(p.DstIP) {
+		op.transmit(nil, false)
+		return
 	}
 	attempt := 0
 	var try func()
@@ -543,24 +463,18 @@ func (h *Host) sendPartitioned(op *txOp) {
 		if h.crashed {
 			h.TxCrashDrops.Inc()
 			h.txPending--
-			p.report(false)
+			op.finish(false)
 			return
 		}
 		if !h.Net.KV.Partitioned(h.IP) {
-			// Healed mid-retry: resolve for real through the uncached
-			// degraded path (the caches were reconciled on heal).
-			h.sendSlow(core, ctx, p, ipProto, tcp, start)
+			// Healed mid-retry: resolve for real, per packet (the caches
+			// were reconciled on heal).
+			h.resolve(p, op.resolved)
 			return
 		}
 		if attempt >= kvMaxRetries {
-			h.TxResolveDrops.Inc()
-			h.negCache[p.DstIP] = negEntry{
-				until:     h.E.Now() + NegCacheTTL,
-				kvVersion: h.Net.KV.Version(),
-				epoch:     h.cacheEpoch,
-			}
-			h.txPending--
-			p.report(false)
+			h.negCachePut(p.DstIP)
+			op.transmit(nil, false)
 			return
 		}
 		backoff := kvRetryBase << attempt
@@ -585,36 +499,56 @@ type negEntry struct {
 	epoch     uint64
 }
 
-// resolve produces the EndpointInfo for p's destination and calls cont
-// exactly once. On the healthy path it is fully synchronous (cont runs
-// inline, zero extra simulation events). With a KV lookup fault
-// installed, container resolutions pay the injected latency, retry
-// transient failures with exponential backoff, and negative-cache
-// definitive misses instead of erroring straight out.
-func (h *Host) resolve(p SendParams, cont func(EndpointInfo, bool)) {
+// negCached reports whether a live negative-cache record suppresses
+// lookups of ip, counting the hit; an expired or invalidated record is
+// deleted.
+func (h *Host) negCached(ip proto.IPv4Addr) bool {
+	ne, ok := h.negCache[ip]
+	if !ok {
+		return false
+	}
+	if ne.epoch == h.cacheEpoch && h.E.Now() < ne.until && ne.kvVersion == h.Net.KV.Version() {
+		h.NegCacheHits.Inc()
+		return true
+	}
+	delete(h.negCache, ip)
+	return false
+}
+
+// negCachePut records a definitive miss of ip.
+func (h *Host) negCachePut(ip proto.IPv4Addr) {
+	h.negCache[ip] = negEntry{until: h.E.Now() + NegCacheTTL, kvVersion: h.Net.KV.Version(), epoch: h.cacheEpoch}
+}
+
+// lookup resolves p's destination synchronously: the peer host's MAC
+// from the link map for host networking, the KV entry for containers.
+func (h *Host) lookup(p SendParams) (EndpointInfo, bool) {
 	if p.From == nil {
-		// Host networking: resolve the peer host's MAC via the link map.
 		peer := h.Net.hostByIP(p.DstIP)
 		if peer == nil {
-			cont(EndpointInfo{}, false)
-			return
+			return EndpointInfo{}, false
 		}
-		cont(EndpointInfo{HostIP: p.DstIP, HostMAC: peer.MAC}, true)
-		return
+		return EndpointInfo{HostIP: p.DstIP, HostMAC: peer.MAC}, true
 	}
+	info, err := h.Net.KV.Get(p.DstIP)
+	return info, err == nil
+}
+
+// resolve produces the EndpointInfo for p's destination and calls cont
+// exactly once. Without a KV lookup fault (and always for host
+// networking) it is synchronous: cont runs inline, zero extra simulation
+// events. With one installed, container resolutions pay the injected
+// latency, retry transient failures with exponential backoff, and
+// negative-cache definitive misses instead of erroring straight out.
+func (h *Host) resolve(p SendParams, cont func(EndpointInfo, bool)) {
 	flt := h.Net.KV.Fault()
-	if flt == nil {
-		info, err := h.Net.KV.Get(p.DstIP)
-		cont(info, err == nil)
+	if p.From == nil || flt == nil {
+		cont(h.lookup(p))
 		return
 	}
-	if ne, ok := h.negCache[p.DstIP]; ok {
-		if ne.epoch == h.cacheEpoch && h.E.Now() < ne.until && ne.kvVersion == h.Net.KV.Version() {
-			h.NegCacheHits.Inc()
-			cont(EndpointInfo{}, false)
-			return
-		}
-		delete(h.negCache, p.DstIP)
+	if h.negCached(p.DstIP) {
+		cont(EndpointInfo{}, false)
+		return
 	}
 	attempt := 0
 	var try func()
@@ -634,15 +568,9 @@ func (h *Host) resolve(p SendParams, cont func(EndpointInfo, bool)) {
 			}
 			info, err := h.Net.KV.Get(p.DstIP)
 			if err != nil {
-				h.negCache[p.DstIP] = negEntry{
-					until:     h.E.Now() + NegCacheTTL,
-					kvVersion: h.Net.KV.Version(),
-					epoch:     h.cacheEpoch,
-				}
-				cont(EndpointInfo{}, false)
-				return
+				h.negCachePut(p.DstIP)
 			}
-			cont(info, true)
+			cont(info, err == nil)
 		}
 		if delay > 0 {
 			h.E.After(delay, after)
@@ -662,31 +590,6 @@ const MaxOverlayPayload = 65535 - proto.IPv4Len - proto.UDPLen - proto.OverlayOv
 
 // MaxHostPayload is the host-network equivalent.
 const MaxHostPayload = 65535 - proto.IPv4Len - proto.UDPLen
-
-// buildInner constructs the L2–L4 frame for an already-resolved
-// destination. For container senders the inner MACs come from the KV
-// entry; for host networking from the peer host.
-func (h *Host) buildInner(p SendParams, ipProto uint8, tcp *proto.TCPHdr, info EndpointInfo) ([]byte, error) {
-	limit := MaxHostPayload
-	if p.From != nil {
-		limit = MaxOverlayPayload
-	}
-	if p.Payload > limit {
-		return nil, fmt.Errorf("overlay: payload %d exceeds frame limit %d", p.Payload, limit)
-	}
-	payload := make([]byte, p.Payload)
-	srcMAC, srcIP := h.MAC, h.IP
-	dstMAC := info.HostMAC
-	if p.From != nil {
-		srcMAC, srcIP = p.From.MAC, p.From.IP
-		dstMAC = info.ContainerMAC
-	}
-	if ipProto == proto.ProtoTCP {
-		return proto.BuildTCPFrame(srcMAC, dstMAC, srcIP, p.DstIP, *tcp, h.nextIPID(), payload), nil
-	}
-	return proto.BuildUDPFrame(srcMAC, dstMAC, srcIP, p.DstIP,
-		p.SrcPort, p.DstPort, h.nextIPID(), payload), nil
-}
 
 // sendWire puts the frame on the link toward dstHostIP, fragmenting to
 // the link MTU when one is configured. Fragments inherit the skb's flow

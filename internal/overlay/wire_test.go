@@ -102,9 +102,10 @@ type tappedFrame struct {
 	bytes []byte
 }
 
-// rebuild constructs the frame from scratch the way the uncached
-// transmit path does (buildInner, then proto.Encapsulate), using the
-// tapped frame's own inner and outer IP IDs.
+// rebuild constructs the frame from scratch with the reference builders
+// (proto.BuildUDPFrame/BuildTCPFrame, then proto.Encapsulate), using the
+// tapped frame's own inner and outer IP IDs and the KV store's current
+// mapping.
 func rebuild(t *testing.T, n *overlay.Network, f tappedFrame) []byte {
 	t.Helper()
 	outer, err := proto.ParseFrame(f.bytes)
@@ -124,31 +125,37 @@ func rebuild(t *testing.T, n *overlay.Network, f tappedFrame) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := overlay.SendParams{From: ctr, SrcPort: inner.SrcPort(), DstIP: inner.IP.Dst,
-		DstPort: inner.DstPort(), Payload: len(inner.Payload)}
-	var tcp *proto.TCPHdr
+	payload := make([]byte, len(inner.Payload))
+	var frame []byte
 	if inner.IP.Protocol == proto.ProtoTCP {
-		tcp = &inner.TCP
+		frame = proto.BuildTCPFrame(ctr.MAC, info.ContainerMAC, ctr.IP, inner.IP.Dst, inner.TCP, inner.IP.ID, payload)
+	} else {
+		frame = proto.BuildUDPFrame(ctr.MAC, info.ContainerMAC, ctr.IP, inner.IP.Dst,
+			inner.SrcPort(), inner.DstPort(), inner.IP.ID, payload)
 	}
-	frame, err := h.BuildInner(p, inner.IP.Protocol, tcp, info)
-	if err != nil {
-		t.Fatal(err)
-	}
-	proto.PatchIPv4ID(frame, inner.IP.ID)
 	hash := skb.FlowKey{SrcIP: inner.IP.Src, DstIP: inner.IP.Dst,
-		SrcPort: p.SrcPort, DstPort: p.DstPort, Proto: inner.IP.Protocol}.Hash()
+		SrcPort: inner.SrcPort(), DstPort: inner.DstPort(), Proto: inner.IP.Protocol}.Hash()
 	return proto.Encapsulate(frame, h.MAC, info.HostMAC, h.IP, info.HostIP,
 		uint16(49152+hash%16384), n.VNI, outer.IP.ID)
 }
 
-// TestWireFramesMatchScratchBuild taps every frame that reaches the far
-// end of a link and checks its wire bytes against a from-scratch build.
-// The fast path stores only headers and carries each payload as a zero
-// tail; transmit-queue drops recycle header buffers straight back into
-// the senders' arenas, and the receiver's GRO grows TCP tails in place,
-// so every buffer history the datapath produces is exercised.
-func TestWireFramesMatchScratchBuild(t *testing.T) {
-	b := newWireBed(t)
+// flakyFault is a LookupFault that delays every lookup by 3 µs and
+// fails every fifth one per consulting host — often enough to exercise
+// the backoff retries, never enough to exhaust them.
+type flakyFault map[proto.IPv4Addr]int
+
+func (f flakyFault) Lookup(hostIP, _ proto.IPv4Addr) (sim.Time, bool) {
+	f[hostIP]++
+	return 3 * sim.Microsecond, f[hostIP]%5 == 0
+}
+
+// runWire runs the wire bed for 3 ms with setup applied first, taps
+// every frame that reaches the far end of a link and checks its wire
+// bytes against a scratch build. It returns the counts of 64 KB UDP and
+// TCP frames checked.
+func runWire(t *testing.T, setup func(b *wireBed)) (b *wireBed, udp, tcp int) {
+	t.Helper()
+	b = newWireBed(t)
 	aud := &misuseAuditor{}
 	var frames []tappedFrame
 	tap := func(from *overlay.Host, l *devices.Link) {
@@ -167,19 +174,11 @@ func TestWireFramesMatchScratchBuild(t *testing.T) {
 		tap(b.server, b.server.LinkTo(c.IP))
 	}
 	const until = 3 * sim.Millisecond
+	setup(b)
 	b.flood(until)
 	b.tcp.StartContinuous()
 	b.e.RunUntil(until)
 
-	for i, c := range b.clients {
-		if c.LinkTo(wireServerIP).Dropped.Value() == 0 {
-			t.Fatalf("client %d: no link-txq drops", i)
-		}
-	}
-	if b.server.Rx.InnerGROMerged()+b.server.NIC.GROMerged() == 0 {
-		t.Fatal("GRO merged no TCP segments")
-	}
-	var udp, tcp int
 	for i, f := range frames {
 		if want := rebuild(t, b.n, f); !bytes.Equal(f.bytes, want) {
 			t.Fatalf("frame %d from %s (%d B) differs from a scratch build", i, f.from.Name, len(f.bytes))
@@ -190,10 +189,70 @@ func TestWireFramesMatchScratchBuild(t *testing.T) {
 			tcp++
 		}
 	}
-	if udp < 100 || tcp < 100 {
-		t.Fatalf("tapped %d 64 KB frames and %d TCP frames; want at least 100 of each", udp, tcp)
-	}
 	if len(aud.misuses) != 0 {
 		t.Fatalf("auditor reported %v", aud.misuses)
 	}
+	return b, udp, tcp
+}
+
+// TestWireFramesMatchScratchBuild checks every frame that reaches the
+// far end of a link against a from-scratch build. Frames store only
+// headers and carry each payload as a zero tail; transmit-queue drops
+// recycle header buffers straight back into the senders' arenas, and
+// the receiver's GRO grows TCP tails in place, so every buffer history
+// the datapath produces is exercised — for frames built from cached
+// entries, from one-off entries inside a KV fault window, and from
+// stale entries a partitioned host serves.
+func TestWireFramesMatchScratchBuild(t *testing.T) {
+	t.Run("cached", func(t *testing.T) {
+		b, udp, tcp := runWire(t, func(*wireBed) {})
+		for i, c := range b.clients {
+			if c.LinkTo(wireServerIP).Dropped.Value() == 0 {
+				t.Fatalf("client %d: no link-txq drops", i)
+			}
+		}
+		if b.server.Rx.InnerGROMerged()+b.server.NIC.GROMerged() == 0 {
+			t.Fatal("GRO merged no TCP segments")
+		}
+		if udp < 100 || tcp < 100 {
+			t.Fatalf("tapped %d 64 KB frames and %d TCP frames; want at least 100 of each", udp, tcp)
+		}
+	})
+	t.Run("kv-fault", func(t *testing.T) {
+		// Every host resolves per packet from the start: no frame is
+		// built from a cached entry.
+		b, udp, tcp := runWire(t, func(b *wireBed) { b.n.KV.SetFault(flakyFault{}) })
+		for _, h := range append(b.clients, b.tcpHost, b.server) {
+			if h.KVRetries.Value() == 0 {
+				t.Fatalf("%s: no lookup retried under the fault", h.Name)
+			}
+			if h.TxResolveDrops.Value() != 0 {
+				t.Fatalf("%s: %d resolve drops", h.Name, h.TxResolveDrops.Value())
+			}
+		}
+		if udp < 100 || tcp < 100 {
+			t.Fatalf("tapped %d 64 KB frames and %d TCP frames; want at least 100 of each", udp, tcp)
+		}
+	})
+	t.Run("partition-stale", func(t *testing.T) {
+		// Each client warms its flow, is cut off from the control plane,
+		// and then a generation bump expires its entry: every later send
+		// serves that entry stale (well inside PartitionStaleBound).
+		b, udp, _ := runWire(t, func(b *wireBed) {
+			b.e.At(500*sim.Microsecond, func() {
+				for _, c := range b.clients {
+					b.n.KV.SetPartitioned(c.IP, true)
+				}
+				b.n.BumpGeneration()
+			})
+		})
+		for _, c := range b.clients {
+			if c.StaleServes.Value() < 50 {
+				t.Fatalf("%s: %d stale serves, want at least 50", c.Name, c.StaleServes.Value())
+			}
+		}
+		if udp < 100 {
+			t.Fatalf("tapped %d 64 KB frames; want at least 100", udp)
+		}
+	})
 }

@@ -50,7 +50,7 @@ func AuditHosts(e sim.Sim, hosts []*overlay.Host, cfg audit.Config) *audit.Audit
 	txMsgs := a.Balance("tx-msgs",
 		[]audit.Term{audit.T("tx.Msgs", sum(func(h *overlay.Host) uint64 { return h.TxMsgs.Value() }))},
 		[]audit.Term{
-			audit.T("skb.created", a.CreatedAt("tx:fast", "tx:slow")),
+			audit.T("skb.created", a.CreatedAt("tx:fast")),
 			audit.T("tx.Pending", sum(func(h *overlay.Host) uint64 { return h.TxPending() })),
 		})
 	// Every drop reason that frees an SKB pairs its counter with the
